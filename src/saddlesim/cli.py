@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,6 @@ NUMERICAL_ERRORS = (
     spectral.NotMorse,
     spectral.NoNegativeEigenvalue,
     spectral.SingleGroup,
-    spectral.WrongRadius,
     problems.NotStrictSaddle,
     problems.NotStrictSaddleAtZero,
     simulate.NoExit,
@@ -92,6 +93,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config dict.  Raises ConfigError with a field name."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     try:
         prob = doc["problem"]
         eps = float(doc["eps"])
@@ -110,18 +114,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("quadratic problem needs lambdas")
     if prob["kind"] == "phase_retrieval" and "n" not in prob:
         raise ConfigError("phase_retrieval problem needs n")
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ConfigError("eps must be positive and finite")
     if not 0 < alpha_mode <= 1:
         raise ConfigError("alpha_mode must lie in (0, 1]")
     if not seeds:
         raise ConfigError("seeds must be a nonempty list")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must not repeat")
     if not isinstance(inits, list) or not inits:
         raise ConfigError("inits must be a nonempty list")
     norm_inits = []
     for entry in inits:
         if not isinstance(entry, dict) or "label" not in entry:
             raise ConfigError("every init needs a label")
+        if any(e["label"] == str(entry["label"]) for e in norm_inits):
+            raise ConfigError(f"init label {entry['label']!r} is not unique")
         if ("theta_us_sq" in entry) == ("u0" in entry):
             raise ConfigError(
                 f"init {entry.get('label')!r} needs exactly one of theta_us_sq or u0"
@@ -145,6 +153,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         k_max = int(k_max)
         if k_max < 1:
             raise ConfigError("k_max must be at least 1")
+    for name in ("n_samples", "estimate_samples"):
+        if name in doc and int(doc[name]) < 1:
+            raise ConfigError(f"{name} must be at least 1")
     return ExperimentConfig(
         problem=prob,
         eps=eps,
@@ -204,6 +215,65 @@ def _init_offset(
     return eps * (spectrum.eigenvectors @ theta)
 
 
+@dataclass(frozen=True)
+class Run:
+    """One (seed, init) start; constants() estimates the seed's constants on first call."""
+
+    seed: int
+    entry: dict
+    problem: problems.SaddleProblem
+    spectrum: spectral.Spectrum
+    u0: np.ndarray
+    projections: spectral.Projections
+    alpha: float
+    run_id: str
+    constants: Callable[[], problems.ProblemConstants]
+
+
+def _estimate_constants(
+    config: ExperimentConfig, problem: problems.SaddleProblem, seed: int
+) -> problems.ProblemConstants:
+    """Estimate a seed's constants; an eps above eps_max warns, it is not fatal."""
+    constants = problems.estimate_constants(
+        problem, config.eps, samples=config.estimate_samples, seed=seed
+    )
+    if config.eps > constants.eps_max:
+        warnings.warn(
+            f"eps = {config.eps:g} exceeds the validity radius "
+            f"eps_max = {constants.eps_max:g} for {problem.label}",
+            stacklevel=2,
+        )
+    return constants
+
+
+def _runs(config: ExperimentConfig) -> Iterator[Run]:
+    """Yield every (seed, init) start in config order, decomposing each seed once.
+
+    Starts are projected before any command work: an off-sphere u0 is a ConfigError.
+    """
+    for seed in config.seeds:
+        problem = _build_problem(config, seed)
+        spectrum = spectral.decompose(problem.hessian(problem.saddle))
+        constants = functools.cache(functools.partial(_estimate_constants, config, problem, seed))
+        for entry in config.inits:
+            u0 = _init_offset(entry, spectrum, config.eps)
+            try:
+                projections = spectral.project(u0, spectrum, config.eps)
+            except spectral.WrongRadius as exc:
+                raise ConfigError(f"init {entry['label']!r}: {exc}") from exc
+            yield Run(
+                seed=seed,
+                entry=entry,
+                problem=problem,
+                spectrum=spectrum,
+                u0=u0,
+                projections=projections,
+                alpha=config.alpha_mode / spectrum.big_l,
+                run_id=f"s{seed}-{entry['label']}",
+                constants=constants,
+            )
+
+
 def _jsonable(obj):
     """Recursively convert to JSON-safe values; non-finite floats become null."""
     if isinstance(obj, dict):
@@ -229,103 +299,82 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     estimated validity radius triggers a warning and is recorded, not fatal.
     """
     records = []
-    for seed in config.seeds:
-        problem = _build_problem(config, seed)
-        spectrum = spectral.decompose(problem.hessian(problem.saddle))
-        constants = problems.estimate_constants(
-            problem, config.eps, samples=config.estimate_samples, seed=seed
+    for run in _runs(config):
+        constants = run.constants()
+        traj = simulate.gd_run(run.problem, run.u0, run.alpha, config.eps, k_max=config.k_max)
+        boundary = bounds.boundary_condition_check(run.projections, constants, config.rho)
+
+        theta_s_sq = float(run.projections.theta_s @ run.projections.theta_s)
+        theta_us_sq = float(run.projections.theta_us @ run.projections.theta_us)
+        mass = theta_s_sq + theta_us_sq
+        p = bounds.psi_constants(
+            constants.big_l,
+            constants.beta,
+            constants.big_m,
+            constants.delta,
+            run.spectrum.dim,
+            run.alpha,
+            config.eps,
+            theta_s_sq / mass,
+            theta_us_sq / mass,
         )
-        if config.eps > constants.eps_max:
-            warnings.warn(
-                f"eps = {config.eps:g} exceeds the validity radius "
-                f"eps_max = {constants.eps_max:g} for {problem.label}",
-                stacklevel=2,
-            )
-        alpha = config.alpha_mode / constants.big_l
-        for entry in config.inits:
-            u0 = _init_offset(entry, spectrum, config.eps)
-            traj = simulate.gd_run(problem, u0, alpha, config.eps, k_max=config.k_max)
-            projections = spectral.project(u0, spectrum, config.eps)
-            boundary = bounds.boundary_condition_check(projections, constants, config.rho)
-
-            theta_s_sq = float(projections.theta_s @ projections.theta_s)
-            theta_us_sq = float(projections.theta_us @ projections.theta_us)
-            mass = theta_s_sq + theta_us_sq
-            p = bounds.psi_constants(
-                constants.big_l,
-                constants.beta,
-                constants.big_m,
-                constants.delta,
-                spectrum.dim,
-                alpha,
-                config.eps,
-                theta_s_sq / mass,
-                theta_us_sq / mass,
-            )
-            try:
-                k_iota = bounds.k_iota_from_psi(p, traj.budget)
-            except bounds.NoLinearExit:
-                k_iota = None
-            try:
-                crude_k, crude_threshold = bounds.crude_bound(
-                    bounds.CrudeBoundParams(
-                        rho=config.rho,
-                        gamma=1.0,
-                        beta=constants.beta,
-                        big_m=constants.big_m,
-                        alpha=alpha,
-                        eps=config.eps,
-                    )
-                )
-            except bounds.VacuousBound:
-                crude_k, crude_threshold = None, None
-
-            proj = traj.radials @ spectrum.eigenvectors
-            stable_sq = np.sum(proj[:, spectrum.stable_idx] ** 2, axis=1)
-            unstable_sq = np.sum(proj[:, spectrum.unstable_idx] ** 2, axis=1)
-
-            run_id = f"s{seed}-{entry['label']}"
-            summary = {
-                "run_id": run_id,
-                "seed": seed,
-                "init_label": entry["label"],
-                "label": problem.label,
-                "eps": config.eps,
-                "alpha": alpha,
-                "alpha_mode": config.alpha_mode,
-                "theta_us_sq": theta_us_sq,
-                "first_exit_k": traj.exit_index,
-                "k_iota": k_iota,
-                "exit_k_bound": boundary["exit_k_bound"],
-                "delta_threshold": boundary["delta_threshold"],
-                "passes_delta": boundary["passes_delta"],
-                "well_conditioned": boundary["well_conditioned"],
-                "crude_k_bound": crude_k,
-                "crude_threshold": crude_threshold,
-                "crude_ok": boundary["crude_ok"],
-                "crude_gamma_assumed": 1.0,
-                "eps_within_validity": bool(config.eps <= constants.eps_max),
-                "constants": {
-                    "big_l": constants.big_l,
-                    "beta": constants.beta,
-                    "delta": constants.delta,
-                    "big_m": constants.big_m,
-                    "eps_max": constants.eps_max,
-                },
-            }
-            records.append(
-                ExperimentRecord(
-                    run_id=run_id,
-                    seed=seed,
-                    init_label=entry["label"],
-                    theta_us_sq=theta_us_sq,
-                    norms=traj.norms,
-                    stable_proj_sq=stable_sq,
-                    unstable_proj_sq=unstable_sq,
-                    first_exit_k=traj.exit_index,
-                    summary=summary,
+        try:
+            k_iota = bounds.k_iota_from_psi(p, traj.budget)
+        except bounds.NoLinearExit:
+            k_iota = None
+        try:
+            crude_k, crude_threshold = bounds.crude_bound(
+                bounds.CrudeBoundParams(
+                    rho=config.rho,
+                    gamma=1.0,
+                    beta=constants.beta,
+                    big_m=constants.big_m,
+                    alpha=run.alpha,
+                    eps=config.eps,
                 )
             )
+        except bounds.VacuousBound:
+            crude_k, crude_threshold = None, None
+
+        proj = traj.radials @ run.spectrum.eigenvectors
+        stable_sq = np.sum(proj[:, run.spectrum.stable_idx] ** 2, axis=1)
+        unstable_sq = np.sum(proj[:, run.spectrum.unstable_idx] ** 2, axis=1)
+
+        summary = {
+            "run_id": run.run_id,
+            "seed": run.seed,
+            "init_label": run.entry["label"],
+            "label": run.problem.label,
+            "eps": config.eps,
+            "alpha": run.alpha,
+            "alpha_mode": config.alpha_mode,
+            "theta_us_sq": theta_us_sq,
+            "first_exit_k": traj.exit_index,
+            "k_iota": k_iota,
+            "exit_k_bound": boundary["exit_k_bound"],
+            "delta_threshold": boundary["delta_threshold"],
+            "passes_delta": boundary["passes_delta"],
+            "well_conditioned": boundary["well_conditioned"],
+            "crude_k_bound": crude_k,
+            "crude_threshold": crude_threshold,
+            "crude_ok": boundary["crude_ok"],
+            "crude_gamma_assumed": 1.0,
+            "eps_within_validity": bool(config.eps <= constants.eps_max),
+            "constants": asdict(constants),
+        }
+        records.append(
+            ExperimentRecord(
+                run_id=run.run_id,
+                seed=run.seed,
+                init_label=run.entry["label"],
+                theta_us_sq=theta_us_sq,
+                norms=traj.norms,
+                stable_proj_sq=stable_sq,
+                unstable_proj_sq=unstable_sq,
+                first_exit_k=traj.exit_index,
+                summary=summary,
+            )
+        )
     records.sort(key=lambda r: (r.seed, r.init_label))
     return records
 
@@ -348,8 +397,7 @@ def emit(records: list[ExperimentRecord], format: str, out_dir: str, prefix: str
     written = []
 
     summary_path = out / f"{prefix}_summary.json"
-    payload = {"runs": [_jsonable(r.summary) for r in records]}
-    summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(_json_text({"runs": [r.summary for r in records]}))
     written.append(summary_path)
 
     if format == "csv":
@@ -391,15 +439,7 @@ def _cmd_validate(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
     problem = _build_problem(config, seed)
     report = problems.validate_assumptions(problem, config.eps, seed=seed)
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{config.out_prefix}_validate.json"
-        path.write_text(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(report, args, f"{config.out_prefix}_validate.json")
     return 0
 
 
@@ -412,79 +452,59 @@ def _cmd_simulate(config: ExperimentConfig, args) -> int:
 
 def _cmd_approx(config: ExperimentConfig, args) -> int:
     runs = []
-    for seed in config.seeds:
-        problem = _build_problem(config, seed)
-        spectrum = spectral.decompose(problem.hessian(problem.saddle))
-        alpha = config.alpha_mode / spectrum.big_l
-        for entry in config.inits:
-            u0 = _init_offset(entry, spectrum, config.eps)
-            traj = simulate.gd_run(problem, u0, alpha, config.eps, k_max=config.k_max)
-            projections = spectral.project(u0, spectrum, config.eps)
-            coeffs = approx.reference_coefficients(problem, spectrum, traj)
-            stop = traj.norms.size - 1
-            path = approx.eps_trajectory(projections, spectrum, coeffs, stop)
-            errs = np.linalg.norm(path - traj.radials, axis=1) / traj.norms
-            runs.append(
-                {
-                    "run_id": f"s{seed}-{entry['label']}",
-                    "first_exit_k": traj.exit_index,
-                    "steps_compared": int(stop),
-                    "max_rel_error": float(np.max(errs)),
-                    "eps": config.eps,
-                }
-            )
-    text = json.dumps(_jsonable({"runs": runs}), indent=2, sort_keys=True) + "\n"
-    _write_or_print(text, args, f"{config.out_prefix}_approx.json")
+    for run in _runs(config):
+        traj = simulate.gd_run(run.problem, run.u0, run.alpha, config.eps, k_max=config.k_max)
+        coeffs = approx.reference_coefficients(run.problem, run.spectrum, traj)
+        stop = traj.norms.size - 1
+        path = approx.eps_trajectory(run.projections, run.spectrum, coeffs, stop)
+        errs = np.linalg.norm(path - traj.radials, axis=1) / traj.norms
+        runs.append(
+            {
+                "run_id": run.run_id,
+                "first_exit_k": traj.exit_index,
+                "steps_compared": int(stop),
+                "max_rel_error": float(np.max(errs)),
+                "eps": config.eps,
+            }
+        )
+    _write_or_print({"runs": runs}, args, f"{config.out_prefix}_approx.json")
     return 0
 
 
 def _cmd_family(config: ExperimentConfig, args) -> int:
     out_rows = []
     summaries = []
-    for seed in config.seeds:
-        problem = _build_problem(config, seed)
-        spectrum = spectral.decompose(problem.hessian(problem.saddle))
-        constants = problems.estimate_constants(
-            problem, config.eps, samples=config.estimate_samples, seed=seed
-        )
-        alpha = config.alpha_mode / constants.big_l
+    for run in _runs(config):
+        constants = run.constants()
         intervals = approx.coefficient_intervals(
             constants.big_l,
             constants.beta,
             constants.big_m,
             constants.delta,
-            alpha,
+            run.alpha,
             config.eps,
         )
-        for entry in config.inits:
-            u0 = _init_offset(entry, spectrum, config.eps)
-            projections = spectral.project(u0, spectrum, config.eps)
-            k_max = config.k_max or simulate.default_k_max(
-                config.eps, alpha, constants.beta
-            )
-            fam = approx.sample_family(
-                intervals,
-                projections,
-                spectrum,
-                k_max,
-                config.eps,
-                config.n_samples,
-                seed,
-            )
-            run_id = f"s{seed}-{entry['label']}"
-            for t, k_exit in enumerate(fam.sampled_exit_times):
-                out_rows.append(
-                    (run_id, t, "" if math.isinf(k_exit) else int(k_exit))
-                )
-            summaries.append(
-                {
-                    "run_id": run_id,
-                    "k_iota": fam.k_iota,
-                    "sup_exit": fam.sup_exit,
-                    "n_samples": fam.n_samples,
-                    "k_max": fam.k_max,
-                }
-            )
+        k_max = config.k_max or simulate.default_k_max(config.eps, run.alpha, constants.beta)
+        fam = approx.sample_family(
+            intervals,
+            run.projections,
+            run.spectrum,
+            k_max,
+            config.eps,
+            config.n_samples,
+            run.seed,
+        )
+        for t, k_exit in enumerate(fam.sampled_exit_times):
+            out_rows.append((run.run_id, t, "" if math.isinf(k_exit) else int(k_exit)))
+        summaries.append(
+            {
+                "run_id": run.run_id,
+                "k_iota": fam.k_iota,
+                "sup_exit": fam.sup_exit,
+                "n_samples": fam.n_samples,
+                "k_max": fam.k_max,
+            }
+        )
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{config.out_prefix}_family.csv"
@@ -493,9 +513,7 @@ def _cmd_family(config: ExperimentConfig, args) -> int:
         writer.writerow(["run_id", "tau_index", "exit_k"])
         writer.writerows(out_rows)
     json_path = out / f"{config.out_prefix}_family.json"
-    json_path.write_text(
-        json.dumps(_jsonable({"runs": summaries}), indent=2, sort_keys=True) + "\n"
-    )
+    json_path.write_text(_json_text({"runs": summaries}))
     print(csv_path)
     print(json_path)
     return 0
@@ -503,31 +521,22 @@ def _cmd_family(config: ExperimentConfig, args) -> int:
 
 def _cmd_bounds(config: ExperimentConfig, args) -> int:
     runs = []
-    for seed in config.seeds:
-        problem = _build_problem(config, seed)
-        spectrum = spectral.decompose(problem.hessian(problem.saddle))
-        constants = problems.estimate_constants(
-            problem, config.eps, samples=config.estimate_samples, seed=seed
-        )
-        for entry in config.inits:
-            u0 = _init_offset(entry, spectrum, config.eps)
-            projections = spectral.project(u0, spectrum, config.eps)
-            report = bounds.boundary_condition_check(projections, constants, config.rho)
-            report["run_id"] = f"s{seed}-{entry['label']}"
-            report["constants"] = {
-                "big_l": constants.big_l,
-                "beta": constants.beta,
-                "delta": constants.delta,
-                "big_m": constants.big_m,
-                "eps_max": constants.eps_max,
-            }
-            runs.append(report)
-    text = json.dumps(_jsonable({"runs": runs}), indent=2, sort_keys=True) + "\n"
-    _write_or_print(text, args, f"{config.out_prefix}_bounds.json")
+    for run in _runs(config):
+        constants = run.constants()
+        report = bounds.boundary_condition_check(run.projections, constants, config.rho)
+        report["run_id"] = run.run_id
+        report["constants"] = asdict(constants)
+        runs.append(report)
+    _write_or_print({"runs": runs}, args, f"{config.out_prefix}_bounds.json")
     return 0
 
 
-def _write_or_print(text: str, args, filename: str) -> None:
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _write_or_print(obj, args, filename: str) -> None:
+    text = _json_text(obj)
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -558,12 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p, fn, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: stdout or cwd)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        if fn is _cmd_simulate:
+            p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--seed", type=int, default=None, help="override the config seed list")
+        p.set_defaults(fn=fn)
 
     for name, fn in (
         ("validate", _cmd_validate),
@@ -572,9 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("family", _cmd_family),
         ("bounds", _cmd_bounds),
     ):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
+        common(sub.add_parser(name), fn)
 
     p = sub.add_parser("phase-retrieval")
     p.add_argument("--n", type=int, default=20)
@@ -582,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--alpha-mode", type=float, default=1.0)
     p.add_argument("--theta-us-sq", type=float, default=0.5)
-    common(p, needs_config=False)
-    p.set_defaults(fn=_cmd_simulate, phase_retrieval=True)
+    common(p, _cmd_simulate, needs_config=False)
+    p.set_defaults(phase_retrieval=True)
     return parser
 
 
@@ -596,18 +605,7 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config)
         if args.seed is not None:
-            config = ExperimentConfig(
-                problem=config.problem,
-                eps=config.eps,
-                alpha_mode=config.alpha_mode,
-                inits=config.inits,
-                seeds=(args.seed,),
-                k_max=config.k_max,
-                rho=config.rho,
-                n_samples=config.n_samples,
-                estimate_samples=config.estimate_samples,
-                out_prefix=config.out_prefix,
-            )
+            config = replace(config, seeds=(args.seed,))
         return args.fn(config, args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ origin is a strict saddle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -188,8 +188,9 @@ def estimate_constants(
 
     big_l, beta and delta come from the exact Hessian at the saddle.  The
     Hessian Lipschitz constant is the max of ||H(x) - H(y)||_F / ||x - y||
-    over `samples` random point pairs in the ball (Frobenius norm, an upper
-    bound on the operator norm, so every bound consuming it stays valid).
+    over `samples` random point pairs in the ball.  The Frobenius norm bounds
+    the operator norm from above, but a sampled maximum can fall below the
+    supremum over the ball, so big_m is an estimate, not a bound.
     eps_max is the validity radius of the first-order eigenvalue model at the
     step size 1/big_l, the most restrictive admissible choice.
 
@@ -261,13 +262,7 @@ def validate_assumptions(
         return report
 
     constants = estimate_constants(problem, eps, seed=seed)
-    report["constants"] = {
-        "big_l": constants.big_l,
-        "beta": constants.beta,
-        "delta": constants.delta,
-        "big_m": constants.big_m,
-        "eps_max": constants.eps_max,
-    }
+    report["constants"] = asdict(constants)
     report["beta_ge_half_delta"] = bool(constants.beta >= constants.delta / 2.0)
 
     allowed = 1.0 + 10.0 * constants.big_m * eps / constants.big_l

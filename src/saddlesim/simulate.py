@@ -33,10 +33,11 @@ class RadialTrajectory:
     """Recorded radial history of one run.
 
     radials has shape (K+1, n) with radials[k] = x_k - x*; norms are the
-    corresponding radii.  exit_index is the first k with norms[k] > eps, or
-    None if the run exhausted its budget inside the ball.  alpha is the step
-    size (the time step dt for flow runs).  budget is the step limit the run
-    was given.
+    corresponding radii.  exit_index is the first k >= 1 with norms[k] > eps,
+    or None if the run exhausted its budget inside the ball.  The start row
+    lies on the eps-sphere only up to rounding, so norms[0] can read one ulp
+    above eps.  alpha is the step size (the time step dt for flow runs).
+    budget is the step limit the run was given.
     """
 
     eps: float

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from saddlesim import problems, spectral
 from saddlesim.cli import (
     ConfigError,
     emit,
@@ -52,6 +53,18 @@ class TestParseConfig:
             {"problem": {"kind": "mystery"}},
             {"problem": {"kind": "quadratic"}},
             {"problem": {"kind": "phase_retrieval"}},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"n_samples": 0},
+            {"estimate_samples": 0},
+            {
+                "inits": [
+                    {"label": "x", "theta_us_sq": 0.1},
+                    {"label": "x", "theta_us_sq": 0.2},
+                ]
+            },
+            {"seeds": [0, 0]},
+            {"kmax": 10},
         ],
     )
     def test_rejects_bad_fields(self, patch):
@@ -228,6 +241,47 @@ class TestMain:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 2
         assert "theta_us_sq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "approx", "family", "bounds"])
+    def test_off_sphere_u0_exits_2(self, tmp_path, capsys, command):
+        doc = dict(BASE_DOC)
+        doc["inits"] = [{"label": "x", "u0": [0.5, 0.5]}]
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "init 'x'" in err
+
+    @pytest.mark.parametrize("command", ["validate", "approx", "family", "bounds"])
+    def test_format_is_only_for_commands_that_emit_runs(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, BASE_DOC)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--format", "csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, estimates", [("simulate", 2), ("approx", 0), ("family", 2), ("bounds", 2)]
+    )
+    def test_setup_runs_once_per_seed(self, tmp_path, capsys, monkeypatch, command, estimates):
+        calls = {"estimate_constants": 0, "decompose": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(problems, "estimate_constants", counted(problems.estimate_constants))
+        monkeypatch.setattr(spectral, "decompose", counted(spectral.decompose))
+        doc = dict(BASE_DOC)
+        doc["inits"] = [{"label": f"t{t}", "theta_us_sq": t} for t in (0.01, 0.2, 0.5)]
+        doc["seeds"] = [0, 1]
+        doc["n_samples"] = 20
+        doc["estimate_samples"] = 50
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"estimate_constants": estimates, "decompose": 2}
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

@@ -74,19 +74,6 @@ class FamilyResult:
     k_max: int
 
 
-def _group_owner(spectrum: Spectrum) -> np.ndarray:
-    owner = np.empty(spectrum.dim, dtype=int)
-    for g, members in enumerate(spectrum.groups):
-        for i in members:
-            owner[i] = g
-    return owner
-
-
-def _cross_group_mask(spectrum: Spectrum) -> np.ndarray:
-    owner = _group_owner(spectrum)
-    return owner[:, None] != owner[None, :]
-
-
 def coefficients_at(
     spectrum: Spectrum,
     h_matrix: np.ndarray,
@@ -114,13 +101,14 @@ def coefficients_at(
 
     c = 1.0 - alpha * lam - alpha * (u_norm / 2.0) * np.diag(hv)
 
-    cross = _cross_group_mask(spectrum)
+    cross = spectrum.cross_group
     gaps = lam[None, :] - lam[:, None]
     tiny = 1e-12 * max(1.0, spectrum.big_l)
     if np.any(cross & (np.abs(gaps) < tiny)):
         raise ZeroGap("cross-group eigenvalue gap below resolution")
-    d = np.zeros((lam.size, lam.size))
-    d[cross] = (hv.T * lam[:, None] * (alpha * u_norm / 2.0) / np.where(cross, gaps, 1.0))[cross]
+    d = np.where(
+        cross, hv.T * lam[:, None] * (alpha * u_norm / 2.0) / np.where(cross, gaps, 1.0), 0.0
+    )
 
     return CoefficientSet(
         c_s=c[spectrum.stable_idx],
@@ -265,7 +253,6 @@ def sample_family(
     n_s = spectrum.stable_idx.size
     n_us = spectrum.unstable_idx.size
     theta = theta_full(projections, spectrum)
-    mask = _cross_group_mask(spectrum)
     t_total = int(n_samples)
 
     # Bound the pre-drawn transfer tensor to ~64MB by chunking over samples.
@@ -288,7 +275,7 @@ def sample_family(
                 *intervals.c_us_range, size=(k_max, n_us)
             )
             draws = rng.uniform(*intervals.d_range, size=(k_max, n, n))
-            d_all[t - lo] = np.where(mask, draws, 0.0)
+            d_all[t - lo] = np.where(spectrum.cross_group, draws, 0.0)
 
         p = np.ones((t_n, n))
         b = np.zeros((t_n, n, n))

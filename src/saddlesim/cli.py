@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -89,6 +88,46 @@ class ExperimentRecord:
     summary: dict
 
 
+def _number(value, field: str, kind=float):
+    """kind(value), or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{field} must be {noun}, got {value!r}") from exc
+
+
+def _number_list(value, field: str, kind=float) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list, got {value!r}")
+    return [_number(v, field, kind) for v in value]
+
+
+def _parse_problem(prob) -> dict:
+    if not isinstance(prob, dict) or prob.get("kind") not in (
+        "quadratic",
+        "cubic",
+        "phase_retrieval",
+    ):
+        raise ConfigError("problem.kind must be quadratic, cubic or phase_retrieval")
+    kind = prob["kind"]
+    if kind == "quadratic":
+        if "lambdas" not in prob:
+            raise ConfigError("quadratic problem needs lambdas")
+        lambdas = _number_list(prob["lambdas"], "problem.lambdas")
+        if len(lambdas) < 2 or not all(math.isfinite(v) for v in lambdas):
+            raise ConfigError("problem.lambdas must hold at least two finite numbers")
+        return {"kind": kind, "lambdas": lambdas}
+    if kind == "phase_retrieval":
+        if "n" not in prob:
+            raise ConfigError("phase_retrieval problem needs n")
+        n = _number(prob["n"], "problem.n", int)
+        if n < 2:
+            raise ConfigError("problem.n must be at least 2")
+        return {"kind": kind, "n": n}
+    return {"kind": kind}
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config dict.  Raises ConfigError with a field name."""
     if not isinstance(doc, dict):
@@ -96,30 +135,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-    try:
-        prob = doc["problem"]
-        eps = float(doc["eps"])
-        alpha_mode = float(doc["alpha_mode"])
-        inits = doc["inits"]
-        seeds = [int(s) for s in doc["seeds"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"missing or malformed required field: {exc}") from exc
-    if not isinstance(prob, dict) or prob.get("kind") not in (
-        "quadratic",
-        "cubic",
-        "phase_retrieval",
-    ):
-        raise ConfigError("problem.kind must be quadratic, cubic or phase_retrieval")
-    if prob["kind"] == "quadratic" and "lambdas" not in prob:
-        raise ConfigError("quadratic problem needs lambdas")
-    if prob["kind"] == "phase_retrieval" and "n" not in prob:
-        raise ConfigError("phase_retrieval problem needs n")
+    missing = [f for f in ("problem", "eps", "alpha_mode", "inits", "seeds") if f not in doc]
+    if missing:
+        raise ConfigError(f"missing required field(s): {', '.join(missing)}")
+    prob = _parse_problem(doc["problem"])
+    eps = _number(doc["eps"], "eps")
+    alpha_mode = _number(doc["alpha_mode"], "alpha_mode")
+    inits = doc["inits"]
+    seeds = _number_list(doc["seeds"], "seeds", int)
     if not (eps > 0 and math.isfinite(eps)):
         raise ConfigError("eps must be positive and finite")
     if not 0 < alpha_mode <= 1:
         raise ConfigError("alpha_mode must lie in (0, 1]")
     if not seeds:
         raise ConfigError("seeds must be a nonempty list")
+    if min(seeds) < 0:
+        raise ConfigError("seeds must be nonnegative")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must not repeat")
     if not isinstance(inits, list) or not inits:
@@ -128,33 +159,31 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for entry in inits:
         if not isinstance(entry, dict) or "label" not in entry:
             raise ConfigError("every init needs a label")
-        if any(e["label"] == str(entry["label"]) for e in norm_inits):
+        label = str(entry["label"])
+        if any(e["label"] == label for e in norm_inits):
             raise ConfigError(f"init label {entry['label']!r} is not unique")
         if ("theta_us_sq" in entry) == ("u0" in entry):
-            raise ConfigError(
-                f"init {entry.get('label')!r} needs exactly one of theta_us_sq or u0"
-            )
+            raise ConfigError(f"init {label!r} needs exactly one of theta_us_sq or u0")
         if "theta_us_sq" in entry:
-            t = float(entry["theta_us_sq"])
+            t = _number(entry["theta_us_sq"], f"init {label!r}: theta_us_sq")
             if not 0 <= t <= 1:
-                raise ConfigError(
-                    f"init {entry['label']!r}: theta_us_sq = {t} outside [0, 1]"
-                )
-            norm_inits.append({"label": str(entry["label"]), "theta_us_sq": t})
+                raise ConfigError(f"init {label!r}: theta_us_sq = {t} outside [0, 1]")
+            norm_inits.append({"label": label, "theta_us_sq": t})
         else:
-            norm_inits.append(
-                {"label": str(entry["label"]), "u0": [float(v) for v in entry["u0"]]}
-            )
-    rho = float(doc.get("rho", 0.5))
+            u0 = _number_list(entry["u0"], f"init {label!r}: u0")
+            norm_inits.append({"label": label, "u0": u0})
+    rho = _number(doc.get("rho", 0.5), "rho")
     if not 0 < rho < 1:
         raise ConfigError("rho must lie in (0, 1)")
     k_max = doc.get("k_max")
     if k_max is not None:
-        k_max = int(k_max)
+        k_max = _number(k_max, "k_max", int)
         if k_max < 1:
             raise ConfigError("k_max must be at least 1")
-    for name in ("n_samples", "estimate_samples"):
-        if name in doc and int(doc[name]) < 1:
+    n_samples = _number(doc.get("n_samples", 200), "n_samples", int)
+    estimate_samples = _number(doc.get("estimate_samples", 10_000), "estimate_samples", int)
+    for name, value in (("n_samples", n_samples), ("estimate_samples", estimate_samples)):
+        if value < 1:
             raise ConfigError(f"{name} must be at least 1")
     return ExperimentConfig(
         problem=prob,
@@ -164,8 +193,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         seeds=tuple(seeds),
         k_max=k_max,
         rho=rho,
-        n_samples=int(doc.get("n_samples", 200)),
-        estimate_samples=int(doc.get("estimate_samples", 10_000)),
+        n_samples=n_samples,
+        estimate_samples=estimate_samples,
         out_prefix=str(doc.get("out_prefix", "experiment")),
     )
 
@@ -174,7 +203,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -185,7 +214,7 @@ def _build_problem(config: ExperimentConfig, seed: int) -> problems.SaddleProble
         return problems.quadratic_saddle(config.problem["lambdas"])
     if kind == "cubic":
         return problems.cubic_test()
-    n = int(config.problem["n"])
+    n = config.problem["n"]
     return problems.phase_retrieval(n, n, seed=seed)
 
 
@@ -238,10 +267,10 @@ def _estimate_constants(
         problem, config.eps, samples=config.estimate_samples, seed=seed
     )
     if config.eps > constants.eps_max:
-        warnings.warn(
-            f"eps = {config.eps:g} exceeds the validity radius "
+        print(
+            f"warning: eps = {config.eps:g} exceeds the validity radius "
             f"eps_max = {constants.eps_max:g} for {problem.label}",
-            stacklevel=2,
+            file=sys.stderr,
         )
     return constants
 
@@ -253,7 +282,7 @@ def _runs(config: ExperimentConfig) -> Iterator[Run]:
     """
     for seed in config.seeds:
         problem = _build_problem(config, seed)
-        spectrum = spectral.decompose(problem.hessian(problem.saddle))
+        spectrum = problem.spectrum
         constants = functools.cache(functools.partial(_estimate_constants, config, problem, seed))
         for entry in config.inits:
             u0 = _init_offset(entry, spectrum, config.eps)
@@ -605,6 +634,8 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be nonnegative")
             config = replace(config, seeds=(args.seed,))
         return args.fn(config, args)
     except (ConfigError, OSError) as exc:

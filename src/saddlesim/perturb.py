@@ -68,14 +68,6 @@ def directional_hessian_derivative(
     return 0.5 * (d + d.T)
 
 
-def _same_group(groups: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    owner = {}
-    for g, members in enumerate(groups):
-        for i in members:
-            owner[i] = g
-    return owner
-
-
 def rs_corrections(
     spectrum: Spectrum,
     h_matrix: np.ndarray,
@@ -99,27 +91,22 @@ def rs_corrections(
     hv = v.T @ h @ v
     rates = np.diag(hv).copy()
 
-    owner = _same_group(spectrum.groups)
+    cross = spectrum.cross_group
     if not degenerate:
-        for g in spectrum.groups:
-            for a in range(len(g)):
-                for b in range(a + 1, len(g)):
-                    if abs(lam[g[a]] - lam[g[b]]) < 1e-8 * spectrum.big_l:
-                        raise DegeneracyUnhandled(
-                            f"eigenvalues {g[a]} and {g[b]} are degenerate; "
-                            "pass degenerate=True to use the grouped formula"
-                        )
+        near = ~cross & (np.abs(lam[:, None] - lam[None, :]) < 1e-8 * spectrum.big_l)
+        pairs = np.argwhere(np.triu(near, k=1))
+        if pairs.size:
+            i, l = pairs[0]
+            raise DegeneracyUnhandled(
+                f"eigenvalues {i} and {l} are degenerate; "
+                "pass degenerate=True to use the grouped formula"
+            )
 
-    dv = np.zeros((n, n))
-    for i in range(n):
-        coeffs = np.zeros(n)
-        for l in range(n):
-            if l == i:
-                continue
-            if degenerate and owner[l] == owner[i]:
-                continue
-            coeffs[l] = hv[l, i] / (lam[i] - lam[l])
-        dv[:, i] = v @ coeffs
+    # coeffs[l, i] = <v_l, H v_i> / (lam_i - lam_l) over the pairs the sum keeps.
+    keep = cross if degenerate else ~np.eye(n, dtype=bool)
+    gaps = lam[None, :] - lam[:, None]
+    coeffs = np.where(keep, hv / np.where(keep, gaps, 1.0), 0.0)
+    dv = v @ coeffs
 
     return PerturbationData(
         h_matrix=h,

@@ -9,12 +9,14 @@ origin is a strict saddle.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .perturb import eps_validity_bounds
-from .spectral import NoNegativeEigenvalue, NotMorse, decompose
+from .spectral import NoNegativeEigenvalue, NotMorse
 
 
 class NotStrictSaddle(ValueError):
@@ -40,6 +42,15 @@ class SaddleProblem:
     hessian: Callable[[np.ndarray], np.ndarray]
     saddle: np.ndarray
     label: str
+
+    @cached_property
+    def spectrum(self) -> spectral.Spectrum:
+        """Decomposition of the saddle Hessian, computed on first access.
+
+        A decomposition error (NotMorse, NoNegativeEigenvalue, ...) is raised
+        on every access and nothing is cached.
+        """
+        return spectral.decompose(self.hessian(self.saddle))
 
 
 @dataclass(frozen=True)
@@ -197,7 +208,7 @@ def estimate_constants(
     Each pair i is drawn from an independent generator keyed by
     (seed, 0, i), so the estimate does not depend on evaluation order.
     """
-    spectrum = decompose(problem.hessian(problem.saddle))
+    spectrum = problem.spectrum
     big_m = 0.0
     for i in range(samples):
         rng = np.random.default_rng((seed, 0, i))
@@ -237,7 +248,7 @@ def validate_assumptions(
     report["hessian_symmetric"] = bool(np.max(np.abs(h0 - h0.T)) <= 1e-8)
 
     try:
-        spectrum = decompose(h0)
+        spectrum = problem.spectrum
         report["is_morse"] = True
         report["is_strict_saddle"] = True
     except NotMorse:

@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectral import decompose
-
 if TYPE_CHECKING:
     from .problems import SaddleProblem
 
@@ -75,7 +73,7 @@ def gd_run(
     budget is 10 * ceil(log(1/eps) / log(1 + alpha * beta)).
     """
     u0 = np.asarray(u0, dtype=float)
-    spectrum = decompose(problem.hessian(problem.saddle))
+    spectrum = problem.spectrum
     if not (0 < alpha <= (1.0 + 1e-12) / spectrum.big_l):
         raise ValueError(
             f"alpha must lie in (0, 1/L] with L = {spectrum.big_l:g}, got {alpha}"

@@ -9,6 +9,7 @@ order, stable = positive eigenvalues, unstable = negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,16 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.size
 
+    @cached_property
+    def cross_group(self) -> np.ndarray:
+        """Read-only (n, n) mask, True where i and l lie in distinct groups."""
+        owner = np.empty(self.dim, dtype=int)
+        for g, members in enumerate(self.groups):
+            owner[list(members)] = g
+        mask = owner[:, None] != owner[None, :]
+        mask.flags.writeable = False
+        return mask
+
 
 @dataclass(frozen=True)
 class Projections:
@@ -93,7 +104,10 @@ def _consecutive_groups(eigenvalues: np.ndarray, group_gap: float) -> list[list[
 
 def _default_group_gap(eigenvalues: np.ndarray) -> float:
     gaps = eigenvalues[:-1] - eigenvalues[1:]
-    return float(np.median(gaps)) / 10.0
+    # Floored at decompose's zero resolution: when at least half the gaps are
+    # zero the median is zero, and repeats must still merge rather than give delta = 0.
+    floor = 1e-8 * float(np.max(np.abs(eigenvalues)))
+    return max(float(np.median(gaps)) / 10.0, floor)
 
 
 def group_eigenvalues(spectrum: Spectrum, group_gap: float | None = None) -> Spectrum:
@@ -102,7 +116,8 @@ def group_eigenvalues(spectrum: Spectrum, group_gap: float | None = None) -> Spe
     Adjacent eigenvalues whose gap is strictly below ``group_gap`` land in the
     same group.  The reported delta is the smallest gap between eigenvalues of
     distinct groups.  Default ``group_gap`` is a tenth of the median
-    consecutive gap.
+    consecutive gap, but at least 1e-8 * max|lambda|, so numerically equal
+    eigenvalues always share a group.
 
     Raises SingleGroup when everything merges into one cluster.
     """
@@ -200,13 +215,14 @@ def project(
     raw inner product is negative, so u0 reconstructs exactly from nonnegative
     amplitudes on the signed basis.
 
-    Raises WrongRadius when | ||u0|| - eps | > rtol * eps.
+    Raises WrongRadius unless | ||u0|| - eps | <= rtol * eps, so a non-finite
+    u0 is rejected too.
     """
     u0 = np.asarray(u0, dtype=float)
     if eps <= 0:
         raise ValueError("eps must be positive")
     radius = float(np.linalg.norm(u0))
-    if abs(radius - eps) > rtol * eps:
+    if not abs(radius - eps) <= rtol * eps:
         raise WrongRadius(
             f"||u0|| = {radius:.12g} but eps = {eps:.12g} (relative rtol {rtol:g})"
         )

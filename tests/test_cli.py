@@ -1,7 +1,10 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlesim import problems, spectral
 from saddlesim.cli import (
@@ -65,12 +68,42 @@ class TestParseConfig:
             },
             {"seeds": [0, 0]},
             {"kmax": 10},
+            {"rho": "x"},
+            {"n_samples": "x"},
+            {"k_max": "x"},
+            {"inits": [{"label": "x", "theta_us_sq": "x"}]},
+            {"inits": [{"label": "x", "u0": 5}]},
+            {"problem": {"kind": "phase_retrieval", "n": "x"}},
+            {"problem": {"kind": "quadratic", "lambdas": [1.0]}},
+            {"problem": {"kind": "quadratic", "lambdas": [1.0, "x"]}},
+            {"seeds": [-1]},
         ],
     )
     def test_rejects_bad_fields(self, patch):
         doc = dict(BASE_DOC)
         doc.update(patch)
         with pytest.raises(ConfigError):
+            parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"eps": "x"}, "eps"),
+            ({"alpha_mode": None}, "alpha_mode"),
+            ({"seeds": "x"}, "seeds"),
+            ({"rho": "x"}, "rho"),
+            ({"estimate_samples": [1]}, "estimate_samples"),
+            ({"k_max": float("nan")}, "k_max"),
+            ({"inits": [{"label": "x", "theta_us_sq": None}]}, "theta_us_sq"),
+            ({"inits": [{"label": "x", "u0": [0.1, "y"]}]}, "u0"),
+            ({"problem": {"kind": "phase_retrieval", "n": {}}}, "problem.n"),
+            ({"problem": {"kind": "quadratic", "lambdas": "x"}}, "problem.lambdas"),
+        ],
+    )
+    def test_malformed_value_names_the_field(self, patch, field):
+        doc = dict(BASE_DOC)
+        doc.update(patch)
+        with pytest.raises(ConfigError, match=field):
             parse_config(doc)
 
     def test_init_needs_exactly_one_start_spec(self):
@@ -244,13 +277,14 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["simulate", "approx", "family", "bounds"])
     def test_off_sphere_u0_exits_2(self, tmp_path, capsys, command):
-        doc = dict(BASE_DOC)
-        doc["inits"] = [{"label": "x", "u0": [0.5, 0.5]}]
-        cfg = write_config(tmp_path, doc)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "init 'x'" in err
+        for u0 in ([0.5, 0.5], [float("nan"), 0.0]):
+            doc = dict(BASE_DOC)
+            doc["inits"] = [{"label": "x", "u0": u0}]
+            cfg = write_config(tmp_path, doc)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "init 'x'" in err
 
     @pytest.mark.parametrize("command", ["validate", "approx", "family", "bounds"])
     def test_format_is_only_for_commands_that_emit_runs(self, tmp_path, capsys, command):
@@ -282,6 +316,39 @@ class TestMain:
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"estimate_constants": estimates, "decompose": 2}
+
+    @pytest.mark.parametrize(
+        "command, warns", [("simulate", True), ("family", True), ("bounds", True),
+                           ("approx", False), ("validate", False)]
+    )
+    def test_eps_above_eps_max_warns_once_per_seed(self, tmp_path, capsys, command, warns):
+        doc = dict(BASE_DOC)
+        doc["problem"] = {"kind": "phase_retrieval", "n": 8}
+        doc["eps"] = 0.05
+        doc["alpha_mode"] = 1.0
+        doc["inits"] = [{"label": "a", "theta_us_sq": 0.5}, {"label": "b", "theta_us_sq": 0.2}]
+        doc["seeds"] = [0, 1]
+        doc["k_max"] = 50
+        doc["n_samples"] = 5
+        doc["estimate_samples"] = 50
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == (2 if warns else 0)
+        for line, seed in zip(lines, doc["seeds"]):
+            assert line.startswith("warning: eps = 0.05 exceeds the validity radius eps_max = ")
+            assert line.endswith(f" for phase_retrieval(m=8, n=8, seed={seed})")
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_DOC)
+        assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_binary_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -322,3 +389,68 @@ def test_load_config_round_trip(tmp_path):
     config = load_config(cfg)
     assert config.out_prefix == "demo"
     assert config.problem["kind"] == "quadratic"
+
+
+MALFORMED = ["x", None, [1, 2], {"a": {"b": 1}}, float("nan")]
+
+
+@st.composite
+def configs_with_one_bad_field(draw):
+    """A config from small bounded ranges, then one field (or none) made malformed."""
+    kind = draw(st.sampled_from(["quadratic", "cubic", "phase_retrieval"]))
+    if kind == "quadratic":
+        problem = {"kind": kind, "lambdas": draw(st.lists(st.floats(-2, 2), min_size=2, max_size=4))}
+        dim = len(problem["lambdas"])
+    elif kind == "cubic":
+        problem, dim = {"kind": kind}, 2
+    else:
+        dim = draw(st.integers(2, 6))
+        problem = {"kind": kind, "n": dim}
+    eps = draw(st.floats(1e-3, 0.2))
+    inits = []
+    for i in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            inits.append({"label": f"i{i}", "theta_us_sq": draw(st.floats(0, 1))})
+        else:
+            d = np.array(draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
+            norm = np.linalg.norm(d)
+            inits.append({"label": f"i{i}", "u0": (eps * d / norm if norm else d).tolist()})
+    doc = {
+        "problem": problem,
+        "eps": eps,
+        "alpha_mode": draw(st.floats(0.1, 1.0)),
+        "inits": inits,
+        "seeds": draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)),
+        "k_max": draw(st.integers(1, 200)),
+        "rho": draw(st.floats(0.01, 0.99)),
+        "n_samples": draw(st.integers(1, 5)),
+        "estimate_samples": draw(st.integers(1, 20)),
+        "out_prefix": "prop",
+    }
+    paths = [(k,) for k in doc] + [("problem", k) for k in problem]
+    paths += [("inits", i, k) for i, entry in enumerate(inits) for k in entry]
+    path = draw(st.sampled_from([None, *paths]))
+    if path is not None:
+        # A null k_max is valid: it selects default_k_max, which grows as 1/beta
+        # (millions of steps on some instances), far past the k_max bound here.
+        bad = draw(st.sampled_from([v for v in MALFORMED if v is not None or path != ("k_max",)]))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+    return doc
+
+
+@given(
+    doc=configs_with_one_bad_field(),
+    argv=st.sampled_from(
+        [["validate"], ["simulate"], ["simulate", "--format", "csv"], ["approx"], ["family"], ["bounds"]]
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_main_never_raises(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main([*argv, "--config", path, "--out", f"{tmp}/out"]) in (0, 2, 3)

@@ -158,6 +158,26 @@ class TestRsCorrections:
         assert_allclose(grouped.eigenvector_rates, plain.eigenvector_rates, atol=1e-14)
         assert_allclose(grouped.eigenvalue_rates, plain.eigenvalue_rates, atol=1e-14)
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_matches_the_pairwise_sum(self, degenerate):
+        # Reference: the defining sum over eigen-index pairs, one pair at a time.
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        spec = decompose(q @ np.diag([3.0, 2.0, 1.0, -1.0, -1.0 - 1e-3, -2.0]) @ q.T)
+        assert spec.groups == ((0,), (1,), (2,), (3, 4), (5,))
+        h = rng.standard_normal((6, 6))
+        h = (h + h.T) / 2
+        owner = {i: g for g, members in enumerate(spec.groups) for i in members}
+        lam, v = spec.eigenvalues, spec.eigenvectors
+        hv = v.T @ h @ v
+        expected = np.zeros((6, 6))
+        for i in range(6):
+            for l in range(6):
+                if l != i and not (degenerate and owner[l] == owner[i]):
+                    expected[:, i] += hv[l, i] / (lam[i] - lam[l]) * v[:, l]
+        data = rs_corrections(spec, h, degenerate=degenerate)
+        assert_allclose(data.eigenvector_rates, expected, rtol=1e-12, atol=1e-12)
+
     def test_direction_is_recorded(self):
         spec = decompose(np.diag([1.0, -1.0]))
         d = np.array([0.6, 0.8])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from saddlesim import spectral
 from saddlesim.problems import (
     NotStrictSaddle,
     NotStrictSaddleAtZero,
@@ -13,6 +14,7 @@ from saddlesim.problems import (
     quadratic_saddle,
     validate_assumptions,
 )
+from saddlesim.spectral import decompose
 
 
 def central_diff_gradient(problem, x, h):
@@ -153,6 +155,24 @@ class TestDerivativeConsistency:
                 e[i] = h
                 cols.append((prob.gradient(x + e) - prob.gradient(x - e)) / (2.0 * h))
             assert_allclose(np.column_stack(cols), prob.hessian(x), atol=1e-8)
+
+
+def test_spectrum_is_decomposed_once(monkeypatch):
+    calls = []
+
+    def counted(hessian):
+        calls.append(hessian)
+        return decompose(hessian)
+
+    monkeypatch.setattr(spectral, "decompose", counted)
+    prob = cubic_test()
+    spec = prob.spectrum
+    assert prob.spectrum is spec
+    estimate_constants(prob, 0.05, samples=10)
+    validate_assumptions(prob, 0.05, samples=10)
+    assert len(calls) == 1
+    assert_allclose(calls[0], prob.hessian(prob.saddle))
+    assert_allclose(spec.eigenvalues, [1.0, -1.0])
 
 
 class TestValidateAssumptions:

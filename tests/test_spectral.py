@@ -100,6 +100,22 @@ class TestGrouping:
         with pytest.raises(SingleGroup):
             group_eigenvalues(spec, group_gap=5.0)
 
+    def test_repeated_eigenvalues_share_a_group(self):
+        # Half the consecutive gaps are zero, so the median gap is zero too.
+        spec = decompose(np.diag([1.0, 1.0, -1.0, -1.0]))
+        assert spec.groups == ((0, 1), (2, 3))
+        assert spec.delta == pytest.approx(2.0)
+
+    def test_cross_group_mask(self):
+        spec = decompose(np.diag([1.0 + 1e-9, 1.0, -1.0]))
+        expected = np.array(
+            [[False, False, True], [False, False, True], [True, True, False]]
+        )
+        np.testing.assert_array_equal(spec.cross_group, expected)
+        assert spec.cross_group is spec.cross_group
+        with pytest.raises(ValueError):
+            spec.cross_group[0, 0] = True
+
     def test_grouping_invariant_under_conjugation(self):
         # same spectrum seen through a rotated basis gives the same partition
         a = np.diag([2.0, 1.99, 0.5, -0.5, -2.0])
@@ -148,6 +164,11 @@ class TestProject:
     def test_wrong_radius(self):
         with pytest.raises(WrongRadius):
             project(np.array([0.12, 0.0]), self.spec, self.eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_offset_is_wrong_radius(self, bad):
+        with pytest.raises(WrongRadius):
+            project(np.array([bad, 0.0]), self.spec, self.eps)
 
     def test_rtol_override(self):
         u0 = np.array([0.101, 0.0])

@@ -200,24 +200,19 @@ def reference_coefficients(
     problem: "SaddleProblem",
     spectrum: Spectrum,
     traj: "RadialTrajectory",
-    alpha: float | None = None,
-    h: float | None = None,
 ) -> list[CoefficientSet]:
     """Coefficient sequence evaluated along a recorded reference trajectory.
 
-    Step k uses the recorded radius ||u_k|| and direction u_k / ||u_k||; the
-    directional Hessian derivative is differenced with step h (default
-    fd_step(eps) for the trajectory's eps).
+    Step k uses the run's alpha, the recorded radius ||u_k|| and direction
+    u_k / ||u_k||; the directional Hessian derivative is differenced with step
+    fd_step(eps).
     """
-    if alpha is None:
-        alpha = traj.alpha
-    if h is None:
-        h = fd_step(traj.eps)
+    h = fd_step(traj.eps)
     out = []
     for k in range(traj.radials.shape[0]):
         nrm = float(traj.norms[k])
         hk = directional_hessian_derivative(problem, traj.radials[k] / nrm, h=h)
-        out.append(coefficients_at(spectrum, hk, nrm, alpha, step=k))
+        out.append(coefficients_at(spectrum, hk, nrm, traj.alpha, step=k))
     return out
 
 

@@ -159,9 +159,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for entry in inits:
         if not isinstance(entry, dict) or "label" not in entry:
             raise ConfigError("every init needs a label")
-        label = str(entry["label"])
+        label = entry["label"]
+        if not isinstance(label, str):
+            raise ConfigError(f"init label must be a string, got {label!r}")
         if any(e["label"] == label for e in norm_inits):
-            raise ConfigError(f"init label {entry['label']!r} is not unique")
+            raise ConfigError(f"init label {label!r} is not unique")
         if ("theta_us_sq" in entry) == ("u0" in entry):
             raise ConfigError(f"init {label!r} needs exactly one of theta_us_sq or u0")
         if "theta_us_sq" in entry:
@@ -185,6 +187,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for name, value in (("n_samples", n_samples), ("estimate_samples", estimate_samples)):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1")
+    out_prefix = doc.get("out_prefix", "experiment")
+    if not isinstance(out_prefix, str):
+        raise ConfigError(f"out_prefix must be a string, got {out_prefix!r}")
     return ExperimentConfig(
         problem=prob,
         eps=eps,
@@ -195,7 +200,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         rho=rho,
         n_samples=n_samples,
         estimate_samples=estimate_samples,
-        out_prefix=str(doc.get("out_prefix", "experiment")),
+        out_prefix=out_prefix,
     )
 
 
@@ -467,7 +472,9 @@ def emit(records: list[ExperimentRecord], format: str, out_dir: str, prefix: str
 def _cmd_validate(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
     problem = _build_problem(config, seed)
-    report = problems.validate_assumptions(problem, config.eps, seed=seed)
+    report = problems.validate_assumptions(
+        problem, config.eps, seed=seed, estimate_samples=config.estimate_samples
+    )
     _write_or_print(report, args, f"{config.out_prefix}_validate.json")
     return 0
 

@@ -117,7 +117,7 @@ def rs_corrections(
 
 
 def hessian_first_order(
-    problem: "SaddleProblem", u: np.ndarray, p: float = 1.0, h: float = 1e-4
+    problem: "SaddleProblem", u: np.ndarray, p: float = 1.0
 ) -> np.ndarray:
     """First-order Hessian model H(x*) + p * ||u|| * H'(u/||u||) at offset u."""
     u = np.asarray(u, dtype=float)
@@ -125,7 +125,7 @@ def hessian_first_order(
     nrm = float(np.linalg.norm(u))
     if nrm == 0:
         return base
-    return base + p * nrm * directional_hessian_derivative(problem, u / nrm, h=h)
+    return base + p * nrm * directional_hessian_derivative(problem, u / nrm)
 
 
 def eps_validity_bounds(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .perturb import eps_validity_bounds
-from .spectral import NoNegativeEigenvalue, NotMorse
+from .spectral import NoNegativeEigenvalue, NotMorse, NotSymmetric
 
 
 class NotStrictSaddle(ValueError):
@@ -233,7 +233,11 @@ def estimate_constants(
 
 
 def validate_assumptions(
-    problem: SaddleProblem, eps: float, samples: int = 1000, seed: int = 0
+    problem: SaddleProblem,
+    eps: float,
+    samples: int = 1000,
+    seed: int = 0,
+    estimate_samples: int = 10_000,
 ) -> dict:
     """Check the standing assumptions on a problem and report, never raise.
 
@@ -242,6 +246,9 @@ def validate_assumptions(
     beta >= delta/2, and the gradient growth bound
     ||grad f(x)|| <= big_l * ||x - x*|| * (1 + 10 * M * eps / big_l)
     over `samples` points of the eps-ball (each from generator (seed, 1, i)).
+    The constants come from estimate_constants with `estimate_samples` pairs.
+    An asymmetric saddle Hessian is reported with is_morse, is_strict_saddle,
+    the constants and the checks built on them all null.
     """
     report: dict = {"label": problem.label, "eps": float(eps), "samples": int(samples)}
     h0 = problem.hessian(problem.saddle)
@@ -259,6 +266,10 @@ def validate_assumptions(
         report["is_morse"] = True
         report["is_strict_saddle"] = False
         spectrum = None
+    except NotSymmetric:  # hessian_symmetric above is already false
+        report["is_morse"] = None
+        report["is_strict_saddle"] = None
+        spectrum = None
 
     grad_at_saddle = float(np.linalg.norm(problem.gradient(problem.saddle)))
     lam = np.linalg.eigvalsh(0.5 * (h0 + h0.T))
@@ -272,7 +283,7 @@ def validate_assumptions(
         report["gradient_growth_ok"] = None
         return report
 
-    constants = estimate_constants(problem, eps, seed=seed)
+    constants = estimate_constants(problem, eps, samples=estimate_samples, seed=seed)
     report["constants"] = asdict(constants)
     report["beta_ge_half_delta"] = bool(constants.beta >= constants.delta / 2.0)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -58,6 +58,41 @@ def default_k_max(eps: float, alpha: float, beta: float) -> int:
     return 10 * math.ceil(math.log(1.0 / eps) / math.log1p(alpha * beta))
 
 
+def _record(
+    problem: "SaddleProblem",
+    u0: np.ndarray,
+    step: Callable[[int, np.ndarray], np.ndarray],
+    budget: int,
+    eps: float,
+    alpha: float,
+) -> RadialTrajectory:
+    """Record u_k = x_k - x* for x_k = step(k, x_{k-1}) from x_0 = x* + u0.
+
+    Stops at the first k >= 1 with ||u_k|| > eps or after budget steps.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    x = problem.saddle + u0
+    radials = [u0.copy()]
+    norms = [float(np.linalg.norm(u0))]
+    exit_index = None
+    for k in range(1, budget + 1):
+        x = step(k, x)
+        u = x - problem.saddle
+        radials.append(u)
+        norms.append(float(np.linalg.norm(u)))
+        if norms[-1] > eps:
+            exit_index = k
+            break
+    return RadialTrajectory(
+        eps=float(eps),
+        alpha=float(alpha),
+        radials=np.array(radials),
+        exit_index=exit_index,
+        norms=np.array(norms),
+        budget=budget,
+    )
+
+
 def gd_run(
     problem: "SaddleProblem",
     u0: np.ndarray,
@@ -72,7 +107,6 @@ def gd_run(
     is recorded and becomes exit_index) or after k_max steps.  The default
     budget is 10 * ceil(log(1/eps) / log(1 + alpha * beta)).
     """
-    u0 = np.asarray(u0, dtype=float)
     spectrum = problem.spectrum
     if not (0 < alpha <= (1.0 + 1e-12) / spectrum.big_l):
         raise ValueError(
@@ -80,26 +114,8 @@ def gd_run(
         )
     if k_max is None:
         k_max = default_k_max(eps, alpha, spectrum.beta)
-
-    x = problem.saddle + u0
-    radials = [u0.copy()]
-    norms = [float(np.linalg.norm(u0))]
-    exit_index = None
-    for k in range(1, k_max + 1):
-        x = x - alpha * problem.gradient(x)
-        u = x - problem.saddle
-        radials.append(u)
-        norms.append(float(np.linalg.norm(u)))
-        if norms[-1] > eps:
-            exit_index = k
-            break
-    return RadialTrajectory(
-        eps=float(eps),
-        alpha=float(alpha),
-        radials=np.array(radials),
-        exit_index=exit_index,
-        norms=np.array(norms),
-        budget=k_max,
+    return _record(
+        problem, u0, lambda k, x: x - alpha * problem.gradient(x), k_max, eps, alpha
     )
 
 
@@ -125,35 +141,20 @@ def flow_run(
     StepTooLarge since the error estimate behind the exit record breaks down.
     alpha on the returned trajectory holds dt.
     """
-    u0 = np.asarray(u0, dtype=float)
     if dt <= 0 or t_max <= 0:
         raise ValueError("t_max and dt must be positive")
     steps = math.ceil(t_max / dt)
-    x = problem.saddle + u0
-    radials = [u0.copy()]
-    norms = [float(np.linalg.norm(u0))]
-    exit_index = None
-    for k in range(1, steps + 1):
+
+    def step(k: int, x: np.ndarray) -> np.ndarray:
         x = _rk4_step(problem, x, dt)
-        u = x - problem.saddle
-        r = float(np.linalg.norm(u))
+        r = float(np.linalg.norm(x - problem.saddle))
         if r > 10.0 * eps:
             raise StepTooLarge(
                 f"step {k} jumped to radius {r:.3g} > 10 * eps; reduce dt"
             )
-        radials.append(u)
-        norms.append(r)
-        if r > eps:
-            exit_index = k
-            break
-    return RadialTrajectory(
-        eps=float(eps),
-        alpha=float(dt),
-        radials=np.array(radials),
-        exit_index=exit_index,
-        norms=np.array(norms),
-        budget=steps,
-    )
+        return x
+
+    return _record(problem, u0, step, steps, eps, dt)
 
 
 def exit_time(traj: RadialTrajectory) -> int:

@@ -77,6 +77,10 @@ class TestParseConfig:
             {"problem": {"kind": "quadratic", "lambdas": [1.0]}},
             {"problem": {"kind": "quadratic", "lambdas": [1.0, "x"]}},
             {"seeds": [-1]},
+            {"out_prefix": None},
+            {"out_prefix": 5},
+            {"inits": [{"label": None, "theta_us_sq": 0.1}]},
+            {"inits": [{"label": ["x"], "theta_us_sq": 0.1}]},
         ],
     )
     def test_rejects_bad_fields(self, patch):
@@ -256,6 +260,16 @@ class TestMain:
         run = payload["runs"][0]
         assert run["delta_threshold"] == 0.0
         assert run["passes_delta"] is True
+
+    def test_validate_and_bounds_report_the_same_constants(self, tmp_path, capsys):
+        doc = dict(BASE_DOC, problem={"kind": "cubic"}, eps=0.05, estimate_samples=50)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        validate = json.loads((out / "demo_validate.json").read_text())
+        bounds = json.loads((out / "demo_bounds.json").read_text())
+        assert validate["constants"] == bounds["runs"][0]["constants"]
 
     def test_seed_override(self, tmp_path, capsys):
         doc = dict(BASE_DOC)

@@ -204,3 +204,21 @@ class TestValidateAssumptions:
         assert report["is_morse"] is False
         assert report["constants"] is None
         assert report["gradient_growth_ok"] is None
+
+    def test_asymmetric_hessian_reported_not_raised(self):
+        h = np.array([[1.0, 1e-6], [0.0, -1.0]])
+        prob = SaddleProblem(
+            dim=2,
+            value=lambda x: 0.5 * float(x @ (h @ x)),
+            gradient=lambda x: h @ np.asarray(x, dtype=float),
+            hessian=lambda x: h.copy(),
+            saddle=np.zeros(2),
+            label="asymmetric",
+        )
+        report = validate_assumptions(prob, 0.1, samples=10)
+        assert report["hessian_symmetric"] is False
+        assert report["is_morse"] is None
+        assert report["is_strict_saddle"] is None
+        assert report["constants"] is None
+        assert report["beta_ge_half_delta"] is None
+        assert report["gradient_growth_ok"] is None

@@ -117,6 +117,24 @@ class TestFlow:
             flow_run(prob, u0, t_max=1.0, dt=-0.1, eps=EPS)
 
 
+@pytest.mark.parametrize(
+    "run, budget",
+    [
+        (lambda prob, u0: gd_run(prob, u0, ALPHA, EPS, k_max=100), 100),
+        (lambda prob, u0: flow_run(prob, u0, t_max=40.0, dt=0.125, eps=EPS), 320),
+    ],
+    ids=["gd", "flow"],
+)
+def test_record_stops_at_its_exit_step(run, budget):
+    prob = quadratic_saddle([1.0, -1.0])
+    traj = run(prob, EPS * np.array([0.995, 0.0999]))
+    assert traj.exit_index is not None
+    assert traj.exit_index == exit_time(traj)
+    assert traj.radials.shape == (traj.exit_index + 1, 2)
+    assert traj.norms.shape == (traj.exit_index + 1,)
+    assert traj.budget == budget
+
+
 class TestTrajectoryHelpers:
     def make_traj(self, norms):
         norms = np.asarray(norms, dtype=float)

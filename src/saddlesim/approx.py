@@ -216,6 +216,17 @@ def reference_coefficients(
     return out
 
 
+# Spawn-key tag of the family's step streams.  A spawn key is mixed in after
+# the seed is zero-padded to four words, so no plain key such as (seed, j) or
+# (seed, 0, i) names one of these streams.
+_FAMILY_TAG = 2
+
+
+def _step_rng(seed: int, k: int) -> np.random.Generator:
+    """Generator of step k's draws for every sample of a family."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_FAMILY_TAG, k)))
+
+
 def sample_family(
     intervals: CoefficientIntervals,
     projections: Projections,
@@ -228,9 +239,13 @@ def sample_family(
     """Sample coefficient trajectories i.i.d. from their intervals and scan exits.
 
     Every c_i(k), c_j(k) and admissible d_{i,l}(k) is drawn independently and
-    uniformly from its interval.  Sample t draws from a dedicated generator
-    keyed by (seed, t) in a fixed order (stable block, unstable block,
-    transfer block), so results are independent of scheduling.
+    uniformly from its interval.  Step k draws one (n_samples, n + n*n) block
+    from its own generator, keyed by seed with spawn key (2, k); row t is
+    sample t's n diagonal coefficients in spectrum order followed by its n*n
+    transfers in row-major order, within-group transfers mapped to zero.
+    Sample t's step-k draws thus depend only on (seed, t, k), not on
+    n_samples or k_max.  The steps run one at a time, so memory is
+    O(n_samples * n^2 + k_max).
 
     The squared-radius ratio ||u~_k||^2 / eps^2 equals the squared amplitude
     norm, so exits are detected directly on amplitudes.  Raises
@@ -245,53 +260,42 @@ def sample_family(
     if k_max < 1 or n_samples < 1:
         raise ValueError("k_max and n_samples must be at least 1")
     n = spectrum.dim
-    n_s = spectrum.stable_idx.size
-    n_us = spectrum.unstable_idx.size
     theta = theta_full(projections, spectrum)
     t_total = int(n_samples)
 
-    # Bound the pre-drawn transfer tensor to ~64MB by chunking over samples.
-    per_sample = k_max * (n * n + n) * 8
-    chunk = max(1, min(t_total, (64 << 20) // max(per_sample, 1)))
+    # Each drawn column x in [0, 1) becomes lo + width * x.
+    stable = np.isin(np.arange(n), spectrum.stable_idx)
+    (s_lo, s_hi), (u_lo, u_hi) = intervals.c_s_range, intervals.c_us_range
+    d_lo, d_hi = intervals.d_range
+    cross = spectrum.cross_group.ravel()
+    lo = np.concatenate([np.where(stable, s_lo, u_lo), np.where(cross, d_lo, 0.0)])
+    width = np.concatenate(
+        [np.where(stable, s_hi - s_lo, u_hi - u_lo), np.where(cross, d_hi - d_lo, 0.0)]
+    )
 
-    ratio = np.empty((t_total, k_max + 1))
-    ratio[:, 0] = float(theta @ theta)
-    for lo in range(0, t_total, chunk):
-        hi = min(lo + chunk, t_total)
-        t_n = hi - lo
-        c_all = np.empty((t_n, k_max, n))
-        d_all = np.empty((t_n, k_max, n, n))
-        for t in range(lo, hi):
-            rng = np.random.default_rng((seed, t))
-            c_all[t - lo][:, spectrum.stable_idx] = rng.uniform(
-                *intervals.c_s_range, size=(k_max, n_s)
-            )
-            c_all[t - lo][:, spectrum.unstable_idx] = rng.uniform(
-                *intervals.c_us_range, size=(k_max, n_us)
-            )
-            draws = rng.uniform(*intervals.d_range, size=(k_max, n, n))
-            d_all[t - lo] = np.where(spectrum.cross_group, draws, 0.0)
+    exit_steps = np.full(t_total, np.inf)
+    min_curve = np.empty(k_max + 1)
+    min_curve[0] = float(theta @ theta)
+    p = np.ones((t_total, n))
+    b = np.zeros((t_total, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            block = _step_rng(seed, k).random((t_total, n + n * n))
+            block *= width
+            block += lo
+            c = block[:, :n]
+            b = b * c[:, None, :] + p[:, :, None] * block[:, n:].reshape(t_total, n, n)
+            p = p * c
+            a = p * theta + b @ theta
+            r = np.einsum("ti,ti->t", a, a)
+            r = np.where(np.isnan(r), np.inf, r)
+            exit_steps[np.isinf(exit_steps) & (r > 1.0)] = k
+            min_curve[k] = r.min()
 
-        p = np.ones((t_n, n))
-        b = np.zeros((t_n, n, n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(k_max):
-                c = c_all[:, k, :]
-                b = b * c[:, None, :] + p[:, :, None] * d_all[:, k]
-                p = p * c
-                a = p * theta + b @ theta
-                r = np.einsum("ti,ti->t", a, a)
-                ratio[lo:hi, k + 1] = np.where(np.isnan(r), np.inf, r)
-
-    crossed = ratio[:, 1:] > 1.0
-    first = np.argmax(crossed, axis=1)
-    exited = crossed[np.arange(t_total), first]
-    exit_steps = np.where(exited, first + 1.0, np.inf)
-    if not np.any(exited):
+    if not np.any(np.isfinite(exit_steps)):
         raise NoExitInFamily(
             f"no sample exited within k_max = {k_max} steps (n_samples = {t_total})"
         )
-    min_curve = ratio.min(axis=0)
     iota_hits = np.flatnonzero(min_curve[1:] > 1.0)
     k_iota = int(iota_hits[0]) + 1 if iota_hits.size else None
     return FamilyResult(

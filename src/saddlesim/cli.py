@@ -228,12 +228,7 @@ def _init_offset(
 ) -> np.ndarray:
     """Deterministic starting offset on the eps-sphere for one init entry."""
     if "u0" in entry:
-        u0 = np.asarray(entry["u0"], dtype=float)
-        if u0.shape != (spectrum.dim,):
-            raise ConfigError(
-                f"init {entry['label']!r}: u0 has shape {u0.shape}, expected ({spectrum.dim},)"
-            )
-        return u0
+        return np.asarray(entry["u0"], dtype=float)
     t = entry["theta_us_sq"]
     n_s = spectrum.stable_idx.size
     n_us = spectrum.unstable_idx.size
@@ -247,6 +242,19 @@ def _init_offset(
     if n_s and t < 1:
         theta[spectrum.stable_idx] = math.sqrt((1.0 - t) / n_s)
     return eps * (spectrum.eigenvectors @ theta)
+
+
+def _check_u0(entry: dict, dim: int, eps: float) -> None:
+    """Reject an explicit u0 that has the wrong length or lies off the eps-sphere."""
+    if "u0" not in entry:
+        return
+    u0 = np.asarray(entry["u0"], dtype=float)
+    if u0.shape != (dim,):
+        raise ConfigError(f"init {entry['label']!r}: u0 has shape {u0.shape}, expected ({dim},)")
+    try:
+        spectral.check_radius(u0, eps)
+    except spectral.WrongRadius as exc:
+        raise ConfigError(f"init {entry['label']!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -283,18 +291,17 @@ def _estimate_constants(
 def _runs(config: ExperimentConfig) -> Iterator[Run]:
     """Yield every (seed, init) start in config order, decomposing each seed once.
 
-    Starts are projected before any command work: an off-sphere u0 is a ConfigError.
+    Starts are checked before any command work: a u0 of the wrong length or
+    off the eps-sphere is a ConfigError.
     """
     for seed in config.seeds:
         problem = _build_problem(config, seed)
         spectrum = problem.spectrum
         constants = functools.cache(functools.partial(_estimate_constants, config, problem, seed))
         for entry in config.inits:
+            _check_u0(entry, problem.dim, config.eps)
             u0 = _init_offset(entry, spectrum, config.eps)
-            try:
-                projections = spectral.project(u0, spectrum, config.eps)
-            except spectral.WrongRadius as exc:
-                raise ConfigError(f"init {entry['label']!r}: {exc}") from exc
+            projections = spectral.project(u0, spectrum, config.eps)
             yield Run(
                 seed=seed,
                 entry=entry,
@@ -472,6 +479,8 @@ def emit(records: list[ExperimentRecord], format: str, out_dir: str, prefix: str
 def _cmd_validate(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
     problem = _build_problem(config, seed)
+    for entry in config.inits:
+        _check_u0(entry, problem.dim, config.eps)
     report = problems.validate_assumptions(
         problem, config.eps, seed=seed, estimate_samples=config.estimate_samples
     )

@@ -247,8 +247,9 @@ def validate_assumptions(
     ||grad f(x)|| <= big_l * ||x - x*|| * (1 + 10 * M * eps / big_l)
     over `samples` points of the eps-ball (each from generator (seed, 1, i)).
     The constants come from estimate_constants with `estimate_samples` pairs.
-    An asymmetric saddle Hessian is reported with is_morse, is_strict_saddle,
-    the constants and the checks built on them all null.
+    A saddle that is not a symmetric strict Morse saddle gets a report with
+    the same keys: the constants and every check built on them are null, and
+    so are is_morse and is_strict_saddle when the saddle Hessian is asymmetric.
     """
     report: dict = {"label": problem.label, "eps": float(eps), "samples": int(samples)}
     h0 = problem.hessian(problem.saddle)
@@ -278,9 +279,15 @@ def validate_assumptions(
     report["is_critical_point"] = grad_at_saddle <= 1e-8 * (1.0 + big_l)
 
     if spectrum is None:
-        report["constants"] = None
-        report["beta_ge_half_delta"] = None
-        report["gradient_growth_ok"] = None
+        for key in (
+            "constants",
+            "beta_ge_half_delta",
+            "hessian_symmetric_at_samples",
+            "max_gradient_growth",
+            "allowed_gradient_growth",
+            "gradient_growth_ok",
+        ):
+            report[key] = None
         return report
 
     constants = estimate_constants(problem, eps, samples=estimate_samples, seed=seed)

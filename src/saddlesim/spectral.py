@@ -206,6 +206,18 @@ def decompose(hessian: np.ndarray, zero_tol: float | None = None) -> Spectrum:
     return group_eigenvalues(base)
 
 
+def check_radius(u0: np.ndarray, eps: float, rtol: float = 1e-5) -> None:
+    """Raise WrongRadius unless | ||u0|| - eps | <= rtol * eps.
+
+    The comparison is written so that a non-finite u0 fails it.
+    """
+    radius = float(np.linalg.norm(u0))
+    if not abs(radius - eps) <= rtol * eps:
+        raise WrongRadius(
+            f"||u0|| = {radius:.12g} but eps = {eps:.12g} (relative rtol {rtol:g})"
+        )
+
+
 def project(
     u0: np.ndarray, spectrum: Spectrum, eps: float, rtol: float = 1e-5
 ) -> Projections:
@@ -221,11 +233,7 @@ def project(
     u0 = np.asarray(u0, dtype=float)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    radius = float(np.linalg.norm(u0))
-    if not abs(radius - eps) <= rtol * eps:
-        raise WrongRadius(
-            f"||u0|| = {radius:.12g} but eps = {eps:.12g} (relative rtol {rtol:g})"
-        )
+    check_radius(u0, eps, rtol)
     raw = spectrum.eigenvectors.T @ u0 / eps
     signs = np.where(raw < 0, -1.0, 1.0)
     signed_basis = spectrum.eigenvectors * signs

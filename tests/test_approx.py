@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from saddlesim.approx import (
     NoExitInFamily,
     ZeroGap,
+    _step_rng,
     coefficient_intervals,
     coefficients_at,
     eps_trajectory,
@@ -246,6 +249,57 @@ class TestSampleFamily:
             sample_family(iv, proj, spec, k_max=0, eps=0.1, n_samples=5, seed=0)
         with pytest.raises(ValueError):
             sample_family(iv, proj, spec, k_max=10, eps=0.1, n_samples=0, seed=0)
+
+    def test_draws_do_not_depend_on_the_run_shape(self):
+        # a sample's step-k draws are keyed by (seed, t, k) alone, so adding
+        # samples or steps leaves the existing samples' exits alone
+        spec = plain_spectrum()
+        eps = 0.1
+        proj = project(sphere_point(spec, eps, theta_us_sq=0.003), spec, eps)
+        iv = coefficient_intervals(1.0, 1.0, 10.0, 2.0, alpha=0.05, eps=eps)
+        few = sample_family(iv, proj, spec, k_max=80, eps=eps, n_samples=20, seed=3)
+        many = sample_family(iv, proj, spec, k_max=80, eps=eps, n_samples=50, seed=3)
+        assert np.array_equal(few.sampled_exit_times, many.sampled_exit_times[:20])
+        short = sample_family(iv, proj, spec, k_max=60, eps=eps, n_samples=50, seed=3)
+        long_exits = many.sampled_exit_times
+        assert np.any(long_exits > 60) and np.any(long_exits <= 60)
+        expected = np.where(long_exits <= 60, long_exits, np.inf)
+        assert np.array_equal(short.sampled_exit_times, expected)
+        assert np.array_equal(short.min_ratio_curve, many.min_ratio_curve[:61])
+
+    def test_memory_is_flat_in_k_max(self):
+        # steps are drawn one at a time: no array has both a sample and a
+        # step axis, so 4x the steps must not cost 4x the memory
+        lam = np.concatenate([np.linspace(2.0, 0.5, 40), np.linspace(-0.5, -1.0, 20)])
+        spec = quadratic_saddle(lam).spectrum
+        eps = 0.01
+        proj = project(sphere_point(spec, eps, theta_us_sq=0.5), spec, eps)
+        iv = coefficient_intervals(spec.big_l, spec.beta, 1.0, spec.delta, alpha=0.25, eps=eps)
+        for k_max in (100, 400):
+            tracemalloc.start()
+            try:
+                sample_family(iv, proj, spec, k_max=k_max, eps=eps, n_samples=2, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, f"k_max {k_max}: peak {peak / 2**20:.1f} MiB"
+
+    def test_step_streams_are_not_plain_keys(self):
+        def state(rng):
+            s = rng.bit_generator.state["state"]
+            return s["state"], s["inc"]
+
+        family = {state(_step_rng(seed, k)) for seed in range(4) for k in range(64)}
+        plain = {
+            state(np.random.default_rng(key))
+            for seed in range(4)
+            for i in range(64)
+            for key in ((seed, i), (seed, 0, i), (seed, 1, i))
+        }
+        assert len(family) == 4 * 64
+        assert family.isdisjoint(plain)
+        # plain keys are zero-padded, so these consumers do share streams
+        assert state(np.random.default_rng((5, 0, 0))) == state(np.random.default_rng((5, 0)))
 
 
 def test_reference_coefficients_defaults_track_the_run():

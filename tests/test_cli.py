@@ -289,9 +289,9 @@ class TestMain:
         assert main(["simulate", "--config", cfg]) == 2
         assert "theta_us_sq" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "approx", "family", "bounds"])
+    @pytest.mark.parametrize("command", ["simulate", "approx", "family", "bounds", "validate"])
     def test_off_sphere_u0_exits_2(self, tmp_path, capsys, command):
-        for u0 in ([0.5, 0.5], [float("nan"), 0.0]):
+        for u0 in ([0.5, 0.5], [float("nan"), 0.0], [0.1, 0.0, 0.0]):
             doc = dict(BASE_DOC)
             doc["inits"] = [{"label": "x", "u0": u0}]
             cfg = write_config(tmp_path, doc)

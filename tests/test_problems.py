@@ -205,6 +205,29 @@ class TestValidateAssumptions:
         assert report["constants"] is None
         assert report["gradient_growth_ok"] is None
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.diag([1.0, 0.0, -1.0]),  # not Morse
+            np.diag([1.0, 2.0]),  # not a strict saddle
+            np.array([[1.0, 1e-6], [0.0, -1.0]]),  # asymmetric
+        ],
+        ids=["non-morse", "non-strict", "asymmetric"],
+    )
+    def test_every_report_has_the_same_keys(self, h):
+        prob = SaddleProblem(
+            dim=h.shape[0],
+            value=lambda x: 0.5 * float(x @ (h @ x)),
+            gradient=lambda x: h @ np.asarray(x, dtype=float),
+            hessian=lambda x: h.copy(),
+            saddle=np.zeros(h.shape[0]),
+            label="flawed",
+        )
+        report = validate_assumptions(prob, 0.1, samples=10)
+        full = validate_assumptions(cubic_test(), 0.05, samples=10, estimate_samples=50)
+        assert set(report) == set(full)
+        assert report["gradient_growth_ok"] is None
+
     def test_asymmetric_hessian_reported_not_raised(self):
         h = np.array([[1.0, 1e-6], [0.0, -1.0]])
         prob = SaddleProblem(

@@ -63,6 +63,8 @@ class FamilyResult:
     for sample t (inf when censored at k_max).  min_ratio_curve[k] is the
     sample minimum of ||u~_k||^2 / eps^2.  k_iota is the first step where that
     minimum exceeds one, or None if it never does within the budget.
+    Sampling stops at k_iota, so min_ratio_curve holds steps 0..k_iota when
+    k_iota is found and 0..k_max otherwise; k_max is always the budget given.
     """
 
     sampled_exit_times: np.ndarray
@@ -248,7 +250,11 @@ def sample_family(
     O(n_samples * n^2 + k_max).
 
     The squared-radius ratio ||u~_k||^2 / eps^2 equals the squared amplitude
-    norm, so exits are detected directly on amplitudes.  Raises
+    norm, so exits are detected directly on amplitudes.  The loop stops at
+    the first step whose sample minimum exceeds one (k_iota): there every
+    sample has already exited, so the exit times, sup_exit and k_iota are
+    final and only the curve's tail would remain; min_ratio_curve therefore
+    ends at step k_iota, or at k_max when the minimum never crosses.  Raises
     NoExitInFamily when no sample leaves the ball within k_max steps;
     k_iota is None when samples leave but the pointwise minimum curve never
     does.
@@ -274,8 +280,8 @@ def sample_family(
     )
 
     exit_steps = np.full(t_total, np.inf)
-    min_curve = np.empty(k_max + 1)
-    min_curve[0] = float(theta @ theta)
+    min_curve = [float(theta @ theta)]
+    k_iota = None
     p = np.ones((t_total, n))
     b = np.zeros((t_total, n, n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,19 +296,22 @@ def sample_family(
             r = np.einsum("ti,ti->t", a, a)
             r = np.where(np.isnan(r), np.inf, r)
             exit_steps[np.isinf(exit_steps) & (r > 1.0)] = k
-            min_curve[k] = r.min()
+            min_curve.append(r.min())
+            if min_curve[k] > 1.0:
+                # NaN counts as inf, so every sample's ratio exceeds one here:
+                # every sample has exited and no later step changes a result.
+                k_iota = k
+                break
 
     if not np.any(np.isfinite(exit_steps)):
         raise NoExitInFamily(
             f"no sample exited within k_max = {k_max} steps (n_samples = {t_total})"
         )
-    iota_hits = np.flatnonzero(min_curve[1:] > 1.0)
-    k_iota = int(iota_hits[0]) + 1 if iota_hits.size else None
     return FamilyResult(
         sampled_exit_times=exit_steps,
         k_iota=k_iota,
         sup_exit=float(np.max(exit_steps)),
-        min_ratio_curve=min_curve,
+        min_ratio_curve=np.array(min_curve),
         n_samples=t_total,
         seed=int(seed),
         k_max=int(k_max),

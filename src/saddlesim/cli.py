@@ -478,7 +478,11 @@ def emit(records: list[ExperimentRecord], format: str, out_dir: str, prefix: str
 
 def _cmd_validate(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
-    problem = _build_problem(config, seed)
+    if config.problem["kind"] == "quadratic":
+        # unchecked, so a quadratic without a sign change is reported, not refused
+        problem = problems._quadratic(config.problem["lambdas"])
+    else:
+        problem = _build_problem(config, seed)
     for entry in config.inits:
         _check_u0(entry, problem.dim, config.eps)
     report = problems.validate_assumptions(

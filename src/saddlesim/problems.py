@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .perturb import eps_validity_bounds
-from .spectral import NoNegativeEigenvalue, NotMorse, NotSymmetric
+from .spectral import NoNegativeEigenvalue, NotMorse, NotSymmetric, SingleGroup
 
 
 class NotStrictSaddle(ValueError):
@@ -84,11 +84,18 @@ def quadratic_saddle(lambdas) -> SaddleProblem:
 
     Raises NotStrictSaddle unless the eigenvalues change sign.
     """
+    problem = _quadratic(lambdas)
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.min() >= 0 or lam.max() <= 0:
+        raise NotStrictSaddle("eigenvalues must include a positive and a negative entry")
+    return problem
+
+
+def _quadratic(lambdas) -> SaddleProblem:
+    """quadratic_saddle without the sign check, so a report can describe any critical point."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise ValueError("need at least two eigenvalues")
-    if lam.min() >= 0 or lam.max() <= 0:
-        raise NotStrictSaddle("eigenvalues must include a positive and a negative entry")
     h = np.diag(lam)
 
     return SaddleProblem(
@@ -247,8 +254,9 @@ def validate_assumptions(
     ||grad f(x)|| <= big_l * ||x - x*|| * (1 + 10 * M * eps / big_l)
     over `samples` points of the eps-ball (each from generator (seed, 1, i)).
     The constants come from estimate_constants with `estimate_samples` pairs.
-    A saddle that is not a symmetric strict Morse saddle gets a report with
-    the same keys: the constants and every check built on them are null, and
+    A saddle that is not a symmetric strict Morse saddle (one whose Hessian
+    has no positive or no negative eigenvalue is not strict) gets a report
+    with the same keys: the constants and every check built on them are null, and
     so are is_morse and is_strict_saddle when the saddle Hessian is asymmetric.
     """
     report: dict = {"label": problem.label, "eps": float(eps), "samples": int(samples)}
@@ -258,19 +266,18 @@ def validate_assumptions(
     try:
         spectrum = problem.spectrum
         report["is_morse"] = True
-        report["is_strict_saddle"] = True
+        # decompose accepts a negative-definite Hessian: a maximum, not a saddle
+        report["is_strict_saddle"] = bool(spectrum.stable_idx.size)
     except NotMorse:
         report["is_morse"] = False
         report["is_strict_saddle"] = False
-        spectrum = None
-    except NoNegativeEigenvalue:
+    except (NoNegativeEigenvalue, SingleGroup):
+        # one gap group means every eigenvalue has the same sign
         report["is_morse"] = True
         report["is_strict_saddle"] = False
-        spectrum = None
     except NotSymmetric:  # hessian_symmetric above is already false
         report["is_morse"] = None
         report["is_strict_saddle"] = None
-        spectrum = None
 
     grad_at_saddle = float(np.linalg.norm(problem.gradient(problem.saddle)))
     lam = np.linalg.eigvalsh(0.5 * (h0 + h0.T))
@@ -278,7 +285,7 @@ def validate_assumptions(
     report["saddle_gradient_norm"] = grad_at_saddle
     report["is_critical_point"] = grad_at_saddle <= 1e-8 * (1.0 + big_l)
 
-    if spectrum is None:
+    if not report["is_strict_saddle"]:
         for key in (
             "constants",
             "beta_ge_half_delta",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from saddlesim import approx
 from saddlesim.approx import (
     NoExitInFamily,
     ZeroGap,
@@ -14,7 +15,7 @@ from saddlesim.approx import (
     reference_coefficients,
     sample_family,
 )
-from saddlesim.problems import cubic_test, quadratic_saddle
+from saddlesim.problems import cubic_test, estimate_constants, phase_retrieval, quadratic_saddle
 from saddlesim.simulate import gd_run
 from saddlesim.spectral import Spectrum, decompose, project, theta_full
 
@@ -193,7 +194,7 @@ class TestSampleFamily:
         assert np.all(fam.sampled_exit_times == 25.0)
         assert fam.k_iota == 25
         assert fam.sup_exit == 25.0
-        assert fam.min_ratio_curve.size == 61
+        assert fam.min_ratio_curve.size == fam.k_iota + 1
         assert fam.min_ratio_curve[0] == pytest.approx(1.0)
 
     def test_contracting_family_never_exits(self):
@@ -231,6 +232,77 @@ class TestSampleFamily:
         assert fam.sup_exit <= fam.k_iota
         exited = np.isfinite(fam.sampled_exit_times)
         assert np.all(fam.sampled_exit_times[exited] >= 1)
+
+    def test_stop_at_the_floor_crossing_changes_no_result(self):
+        # at k_iota every sample has exited, so a larger budget only adds
+        # steps that the stop skips: each budget from k_iota up gives one result
+        spec = decompose(np.diag([1.0, 0.6, -0.8, -1.0]))
+        eps = 0.005
+        proj = project(sphere_point(spec, eps, theta_us_sq=0.2), spec, eps)
+        iv = coefficient_intervals(1.0, 0.6, 1.0, spec.delta, alpha=0.8, eps=eps)
+        base = sample_family(iv, proj, spec, k_max=200, eps=eps, n_samples=100, seed=1)
+        for k_max in (base.k_iota, 200, 2000):
+            fam = sample_family(iv, proj, spec, k_max=k_max, eps=eps, n_samples=100, seed=1)
+            assert np.array_equal(fam.sampled_exit_times, base.sampled_exit_times)
+            assert fam.k_iota == base.k_iota
+            assert fam.sup_exit == base.sup_exit
+            assert np.array_equal(fam.min_ratio_curve, base.min_ratio_curve)
+            assert fam.min_ratio_curve.size == base.k_iota + 1
+            assert fam.k_max == k_max
+
+    @staticmethod
+    def _count_steps(monkeypatch):
+        calls = []
+
+        def counting(seed, k):
+            calls.append(k)
+            return _step_rng(seed, k)
+
+        monkeypatch.setattr(approx, "_step_rng", counting)
+        return calls
+
+    def test_sampling_stops_at_k_iota(self, monkeypatch):
+        spec = plain_spectrum()
+        eps = 0.1
+        proj = project(sphere_point(spec, eps, theta_us_sq=0.00998), spec, eps)
+        iv = coefficient_intervals(1.0, 1.0, 0.0, 2.0, alpha=0.1, eps=eps)
+        calls = self._count_steps(monkeypatch)
+        fam = sample_family(iv, proj, spec, k_max=500, eps=eps, n_samples=10, seed=4)
+        assert fam.k_iota == 25
+        assert calls == list(range(1, 26))
+
+    def test_censored_family_runs_the_whole_budget(self, monkeypatch):
+        # one sample still inside at k_max keeps the floor below one
+        spec = plain_spectrum()
+        eps = 0.1
+        proj = project(sphere_point(spec, eps, theta_us_sq=0.003), spec, eps)
+        iv = coefficient_intervals(1.0, 1.0, 10.0, 2.0, alpha=0.05, eps=eps)
+        calls = self._count_steps(monkeypatch)
+        fam = sample_family(iv, proj, spec, k_max=60, eps=eps, n_samples=50, seed=3)
+        assert np.any(np.isinf(fam.sampled_exit_times))
+        assert fam.k_iota is None
+        assert len(calls) == 60
+        assert fam.min_ratio_curve.size == 61
+        assert fam.k_max == 60
+
+    def test_phase_retrieval_n60_draws_one_step(self, monkeypatch):
+        # every sample exits at step 1, so a 4,000-step budget costs one draw
+        prob = phase_retrieval(60, 60, seed=0)
+        spec = prob.spectrum
+        eps = 1e-6
+        const = estimate_constants(prob, eps, samples=50, seed=0)
+        alpha = 1.0 / spec.big_l
+        proj = project(sphere_point(spec, eps, theta_us_sq=0.5), spec, eps)
+        iv = coefficient_intervals(
+            const.big_l, const.beta, const.big_m, const.delta, alpha=alpha, eps=eps
+        )
+        calls = self._count_steps(monkeypatch)
+        fam = sample_family(iv, proj, spec, k_max=4000, eps=eps, n_samples=100, seed=0)
+        assert fam.k_iota == 1
+        assert np.all(fam.sampled_exit_times == 1.0)
+        assert fam.min_ratio_curve.size == 2
+        assert len(calls) == 1
+        assert fam.k_max == 4000
 
     def test_eps_mismatch_rejected(self):
         spec = plain_spectrum()

@@ -236,6 +236,30 @@ class TestMain:
         assert report["is_strict_saddle"] is True
         assert report["gradient_growth_ok"] is True
 
+    @pytest.mark.parametrize(
+        "lambdas",
+        [[1.0, 2.0], [-1.0, -2.0], [-1.0, -1.0]],
+        ids=["minimum", "maximum", "maximum-one-group"],
+    )
+    def test_validate_reports_a_quadratic_that_is_not_a_strict_saddle(
+        self, tmp_path, capsys, lambdas
+    ):
+        full_doc = dict(BASE_DOC, estimate_samples=50)
+        assert main(["validate", "--config", write_config(tmp_path, full_doc)]) == 0
+        full = json.loads(capsys.readouterr().out)
+        doc = dict(BASE_DOC, problem={"kind": "quadratic", "lambdas": lambdas})
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == set(full)
+        assert report["is_morse"] is True
+        assert report["is_strict_saddle"] is False
+        assert report["constants"] is None
+        assert report["gradient_growth_ok"] is None
+        for command in ("simulate", "bounds"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+            assert "numerical failure" in capsys.readouterr().err
+
     def test_family_reports_the_frozen_crossing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)
         out = tmp_path / "fam"

@@ -20,7 +20,7 @@ from .spectral import Projections
 
 
 class NoLinearExit(ValueError):
-    """psi never exceeded one within the scan budget."""
+    """psi stays at or below one through the scan budget, or provably at every step."""
 
 
 class VacuousBound(ValueError):
@@ -124,14 +124,51 @@ def psi(big_k: int, p: PsiConstants) -> float:
     return out
 
 
+def _certified_stop(p: PsiConstants) -> int | None:
+    """A step K_stop with psi(K) <= 0 for every K >= max(K_stop, 1), or None.
+
+    With c2 >= 0 every b1 and b2 term of psi is subtracted, so
+        psi(K) <= (theta_s_sq + theta_us_sq) c3^2K (r^2K - b2),
+        r = max(|c1|, |c4|) / c3.
+    For r < 1 and b2 > 0 the right side is negative for every K > x, where
+    r^2x = b2, and K_stop = floor(x) + 1 is the first such step.  The scan
+    evaluates K_stop itself, so every step it skips lies a full step past x,
+    where the subtracted b2 c3^2K exceeds the positive part by at least the
+    factor r^-2, a margin that also absorbs psi's rounding.  None when
+    c2 < 0, r >= 1 or b2 == 0 (a constant Hessian): no such step is known.
+    """
+    if p.c2 < 0 or not 0 < p.b2 < math.inf:
+        return None
+    r = max(abs(p.c1), abs(p.c4)) / p.c3
+    if not r < 1:
+        return None
+    if r == 0:
+        return 0
+    return max(0, math.floor(math.log(p.b2) / (2.0 * math.log(r))) + 1)
+
+
 def k_iota_from_psi(p: PsiConstants, k_max: int) -> int:
     """First K >= 1 with psi(K) > 1, i.e. the predicted family exit step.
 
-    Raises NoLinearExit when the bound never certifies an exit within k_max.
+    Evaluates psi at K = 1..min(k_max, K_stop) and returns what the scan of
+    every K = 1..k_max would.  K_stop is certified: when c2 >= 0, b2 > 0 and
+    r = max(|c1|, |c4|) / c3 < 1, psi(K) <= c3^2K (r^2K - b2) <= 0 for every
+    K >= K_stop = floor(log(b2) / (2 log r)) + 1, clipped at zero, so b2 > 1
+    evaluates nothing.  The CLI always has c2 >= 0, since alpha beta <= 1.
+    When c2 < 0, r >= 1 or b2 == 0 (a constant Hessian) it scans all of k_max.
+
+    Raises NoLinearExit when the bound never certifies an exit within k_max;
+    the message says whether the certificate rules out every later step or
+    the budget ran out first.
     """
-    for k in range(1, int(k_max) + 1):
+    k_max = int(k_max)
+    stop = _certified_stop(p)
+    last = k_max if stop is None else min(k_max, stop)
+    for k in range(1, last + 1):
         if psi(k, p) > 1.0:
             return k
+    if stop is not None and stop <= k_max:
+        raise NoLinearExit(f"psi(K) <= 0 for every K >= {max(stop, 1)}: no crossing at any k_max")
     raise NoLinearExit(f"psi stayed <= 1 through k_max = {k_max}")
 
 

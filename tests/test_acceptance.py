@@ -247,6 +247,16 @@ def test_c05_family_exit_ordering(family_sweep):
     )
 
 
+def test_c05_floor_crossing_matches_the_linear_scan(family_sweep):
+    # k_iota_from_psi stops at a certified step; the scan of every K up to
+    # the family budget must find the same first crossing
+    results, _ = family_sweep
+    for r in results:
+        p, k_max = r["p"], r["fam"].k_max
+        linear = next((k for k in range(1, k_max + 1) if ss.psi(k, p) > 1.0), None)
+        assert r["k_iota"] == linear, r["idx"]
+
+
 def test_c06_log_eps_exit_scaling():
     prob = ss.quadratic_saddle([1.0, -1.0])
     spec = ss.decompose(prob.hessian(prob.saddle))

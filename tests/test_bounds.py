@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddlesim import bounds, cli
 from saddlesim.bounds import (
     CrudeBoundParams,
     NoLinearExit,
@@ -117,6 +118,141 @@ class TestPsi:
         with pytest.raises(ValueError):
             PsiConstants(c1=1.0, c2=0.5, c3=1.5, c4=1.2, b1=0.0, b2=0.0,
                          theta_s_sq=0.5, theta_us_sq=0.5)
+
+
+def linear_k_iota(p, k_max):
+    """Reference: the scan of every K = 1..k_max, None when nothing crosses."""
+    for k in range(1, k_max + 1):
+        if psi(k, p) > 1.0:
+            return k
+    return None
+
+
+def scanned_k_iota(p, k_max):
+    try:
+        return k_iota_from_psi(p, k_max)
+    except NoLinearExit:
+        return None
+
+
+def counting_psi(calls):
+    """bounds.psi that appends each step it is asked for to calls."""
+    original = bounds.psi
+
+    def counting(big_k, p):
+        calls.append(big_k)
+        return original(big_k, p)
+
+    return counting
+
+
+@pytest.fixture
+def psi_calls(monkeypatch):
+    """The steps at which k_iota_from_psi evaluates psi, in order."""
+    calls = []
+    monkeypatch.setattr(bounds, "psi", counting_psi(calls))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def shortcut_scans(tmp_path_factory):
+    """(PsiConstants, k_max) of every scan the default phase-retrieval command
+    makes (seeds 0-9 at their default budgets), and its psi call count."""
+    scans, calls = [], []
+    scan = bounds.k_iota_from_psi
+
+    def recording(p, k_max):
+        scans.append((p, k_max))
+        return scan(p, k_max)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "k_iota_from_psi", recording)
+        mp.setattr(bounds, "psi", counting_psi(calls))
+        out = tmp_path_factory.mktemp("shortcut")
+        assert cli.main(["phase-retrieval", "--out", str(out)]) == 0
+    return scans, len(calls)
+
+
+class TestCertifiedScan:
+    @given(
+        big_l=st.floats(0.1, 10.0),
+        beta_frac=st.floats(1e-4, 1.0),
+        big_m=st.one_of(st.just(0.0), st.floats(1e-3, 100.0)),
+        delta_frac=st.floats(1e-3, 1.0),
+        n=st.integers(2, 60),
+        alpha_mode=st.floats(1e-6, 1.0),
+        eps=st.floats(1e-6, 0.5),
+        theta_us_sq=st.floats(0.0, 1.0),
+        k_max=st.integers(1, 400),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_linear_scan(
+        self, big_l, beta_frac, big_m, delta_frac, n, alpha_mode, eps, theta_us_sq, k_max
+    ):
+        p = psi_constants(
+            big_l, beta_frac * big_l, big_m, delta_frac * big_l, n,
+            alpha_mode / big_l, eps, 1.0 - theta_us_sq, theta_us_sq,
+        )
+        assert scanned_k_iota(p, k_max) == linear_k_iota(p, k_max)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_linear_scan_on_the_shortcut(self, shortcut_scans, seed):
+        # the benchmark's shortcut workload pins k_max at 300,000
+        scans, _ = shortcut_scans
+        p, _ = scans[seed]
+        assert linear_k_iota(p, 300_000) is None
+        assert scanned_k_iota(p, 300_000) is None
+
+    def test_shortcut_default_budgets_evaluate_no_psi(self, shortcut_scans):
+        scans, psi_evals = shortcut_scans
+        assert len(scans) == 10
+        assert max(k_max for _, k_max in scans) == 8_275_050
+        assert psi_evals == 0
+
+    def test_shortcut_needs_no_psi_at_any_budget(self, shortcut_scans, psi_calls):
+        scans, _ = shortcut_scans
+        for p, _ in scans:
+            with pytest.raises(NoLinearExit, match=r"psi\(K\) <= 0 for every K >= 1"):
+                k_iota_from_psi(p, 10**12)
+        assert psi_calls == []
+
+    def test_cutoff_stops_a_crossing_free_scan_early(self, psi_calls):
+        # r = 0.8 and b2 = 0.01: r^2K <= b2 from K = 10.3 on, so the scan
+        # evaluates K = 1..11 and certifies the rest
+        p = PsiConstants(c1=0.4, c2=0.5, c3=1.0, c4=0.8, b1=0.01, b2=0.01,
+                         theta_s_sq=0.5, theta_us_sq=0.5)
+        with pytest.raises(NoLinearExit, match=r"psi\(K\) <= 0 for every K >= 11"):
+            k_iota_from_psi(p, 1000)
+        assert psi_calls == list(range(1, 12))
+        assert all(psi(k, p) <= 0.0 for k in range(11, 1000))
+        assert linear_k_iota(p, 1000) is None
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            reference_psi(),  # b2 == 0
+            # c2 < 0
+            PsiConstants(c1=-0.5, c2=-0.1, c3=1.05, c4=0.5, b1=0.01, b2=0.1,
+                         theta_s_sq=0.5, theta_us_sq=0.5),
+            # r = |c4| / c3 = 1
+            PsiConstants(c1=0.5, c2=0.9, c3=1.0, c4=1.0, b1=0.01, b2=0.5,
+                         theta_s_sq=0.5, theta_us_sq=0.5),
+            # r = |c1| / c3 > 1
+            PsiConstants(c1=-1.01, c2=0.5, c3=1.0, c4=0.5, b1=0.0, b2=1.0,
+                         theta_s_sq=0.5, theta_us_sq=0.5),
+        ],
+        ids=["b2-zero", "c2-negative", "r-one", "r-above-one"],
+    )
+    def test_fallback_scans_the_whole_budget(self, p, psi_calls):
+        with pytest.raises(NoLinearExit, match="psi stayed <= 1 through k_max = 20"):
+            k_iota_from_psi(p, 20)
+        assert psi_calls == list(range(1, 21))
+
+    def test_budget_message_when_the_certificate_lies_beyond_k_max(self):
+        p = PsiConstants(c1=0.4, c2=0.5, c3=1.0, c4=0.8, b1=0.01, b2=0.01,
+                         theta_s_sq=0.5, theta_us_sq=0.5)
+        with pytest.raises(NoLinearExit, match="psi stayed <= 1 through k_max = 5"):
+            k_iota_from_psi(p, 5)
 
 
 class TestExitTimeBound:

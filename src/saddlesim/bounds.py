@@ -128,23 +128,44 @@ def _certified_stop(p: PsiConstants) -> int | None:
     """A step K_stop with psi(K) <= 0 for every K >= max(K_stop, 1), or None.
 
     With c2 >= 0 every b1 and b2 term of psi is subtracted, so
-        psi(K) <= (theta_s_sq + theta_us_sq) c3^2K (r^2K - b2),
-        r = max(|c1|, |c4|) / c3.
-    For r < 1 and b2 > 0 the right side is negative for every K > x, where
-    r^2x = b2, and K_stop = floor(x) + 1 is the first such step.  The scan
-    evaluates K_stop itself, so every step it skips lies a full step past x,
-    where the subtracted b2 c3^2K exceeds the positive part by at least the
-    factor r^-2, a margin that also absorbs psi's rounding.  None when
-    c2 < 0, r >= 1 or b2 == 0 (a constant Hessian): no such step is known.
+        psi(K) <= c3^2K (theta_s_sq rho1^2K + theta_us_sq rho4^2K - b2 mass),
+        rho1 = |c1| / c3,  rho4 = |c4| / c3,  mass = theta_s_sq + theta_us_sq.
+    When every rate that carries mass is below one the bracket falls with K,
+    and K_stop is the first K >= 0 where it is negative (found by doubling,
+    then bisection).  The scan evaluates K_stop itself, so every step it
+    skips lies a full step past that crossing.  That step's decay must beat
+    the rounding of the rates and of psi, else None.  None also when c2 < 0,
+    b2 == 0 (a constant Hessian) or a rate with mass is >= 1.
     """
-    if p.c2 < 0 or not 0 < p.b2 < math.inf:
+    floor = p.b2 * (p.theta_s_sq + p.theta_us_sq)
+    if p.c2 < 0 or not 0 < floor < math.inf:
         return None
-    r = max(abs(p.c1), abs(p.c4)) / p.c3
-    if not r < 1:
+    terms = [
+        (theta, abs(c) / p.c3)
+        for theta, c in ((p.theta_s_sq, p.c1), (p.theta_us_sq, p.c4))
+        if theta > 0
+    ]
+    if not all(rho < 1 for _, rho in terms):
         return None
-    if r == 0:
-        return 0
-    return max(0, math.floor(math.log(p.b2) / (2.0 * math.log(r))) + 1)
+
+    def head(k: int) -> float:
+        return sum(theta * rho ** (2 * k) for theta, rho in terms)
+
+    lo, hi = -1, 0  # head(lo) >= floor (lo = -1 stands before K = 0)
+    while not head(hi) < floor:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if head(mid) < floor:
+            hi = mid
+        else:
+            lo = mid
+    stop = hi
+    # rho^2K carries a relative rounding of about 2K u and psi a few u; allow twice that
+    rounding = (2 * stop + 32) * np.finfo(float).eps
+    if not head(stop + 1) * (1.0 + rounding) < floor * (1.0 - rounding):
+        return None
+    return stop
 
 
 def k_iota_from_psi(p: PsiConstants, k_max: int) -> int:
@@ -152,10 +173,12 @@ def k_iota_from_psi(p: PsiConstants, k_max: int) -> int:
 
     Evaluates psi at K = 1..min(k_max, K_stop) and returns what the scan of
     every K = 1..k_max would.  K_stop is certified: when c2 >= 0, b2 > 0 and
-    r = max(|c1|, |c4|) / c3 < 1, psi(K) <= c3^2K (r^2K - b2) <= 0 for every
-    K >= K_stop = floor(log(b2) / (2 log r)) + 1, clipped at zero, so b2 > 1
-    evaluates nothing.  The CLI always has c2 >= 0, since alpha beta <= 1.
-    When c2 < 0, r >= 1 or b2 == 0 (a constant Hessian) it scans all of k_max.
+    the rates rho1 = |c1| / c3 and rho4 = |c4| / c3 of the parts with mass
+    are below one, psi(K) <= c3^2K (theta_s_sq rho1^2K + theta_us_sq rho4^2K
+    - b2) <= 0 from the first K >= 0 where the bracket is negative; that K is
+    K_stop (see _certified_stop), so b2 > 1 evaluates nothing.  The CLI
+    always has c2 >= 0, since alpha beta <= 1.  When c2 < 0, b2 == 0 (a
+    constant Hessian) or a rate with mass is >= 1 it scans all of k_max.
 
     Raises NoLinearExit when the bound never certifies an exit within k_max;
     the message says whether the certificate rules out every later step or

@@ -27,6 +27,13 @@ class NotStrictSaddleAtZero(ValueError):
     """Sampled phase retrieval instance fails to have a strict saddle at the origin."""
 
 
+# unit roundoff of float64: one rounding moves a value by at most this share
+_U = np.finfo(float).eps / 2
+# point pairs drawn and screened together by estimate_constants; larger
+# blocks are no faster and raise peak memory
+_SCREEN_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class SaddleProblem:
     """An objective with a known strict saddle.
@@ -34,6 +41,13 @@ class SaddleProblem:
     value/gradient/hessian take a point of shape (dim,); hessian returns a
     symmetric (dim, dim) array.  saddle is the critical point every radial
     quantity is measured from.
+
+    hessian_gap_sq, when given, takes stacked points X and Y of shape
+    (P, dim) and returns, for each p, an upper bound on
+    ||hessian(X[p]) - hessian(Y[p])||_F^2 as those floating-point
+    evaluations and their difference produce it: the closed form plus an
+    allowance for the rounding of both.  estimate_constants screens its
+    point pairs with it; None sends every pair to the scalar evaluation.
     """
 
     dim: int
@@ -42,6 +56,7 @@ class SaddleProblem:
     hessian: Callable[[np.ndarray], np.ndarray]
     saddle: np.ndarray
     label: str
+    hessian_gap_sq: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @cached_property
     def spectrum(self) -> spectral.Spectrum:
@@ -105,6 +120,8 @@ def _quadratic(lambdas) -> SaddleProblem:
         hessian=lambda x: h.copy(),
         saddle=np.zeros(lam.size),
         label=f"quadratic_saddle({lam.tolist()})",
+        # every evaluation returns the same matrix, so each difference is exactly zero
+        hessian_gap_sq=lambda x, y: np.zeros(len(x)),
     )
 
 
@@ -127,6 +144,14 @@ def cubic_test() -> SaddleProblem:
         x = np.asarray(x, dtype=float)
         return np.array([[1.0 + 2.0 * x[1], 2.0 * x[0]], [2.0 * x[0], -1.0]])
 
+    def hessian_gap_sq(x, y):
+        # The difference is [[2 d1, 2 d0], [2 d0, 0]], so its closed form is
+        # 8 d0^2 + 4 d1^2.  Only 1 + 2 x1 rounds in hessian (by up to
+        # u (1 + 2|x1|)); the other entries are exact or off by a relative u.
+        d0 = x[:, 0] - y[:, 0]
+        d1 = np.abs(x[:, 1] - y[:, 1]) + _U * (2.0 + 4.0 * (np.abs(x[:, 1]) + np.abs(y[:, 1])))
+        return (8.0 * d0**2 + 4.0 * d1**2) * (1.0 + 16.0 * _U)
+
     return SaddleProblem(
         dim=2,
         value=value,
@@ -134,6 +159,7 @@ def cubic_test() -> SaddleProblem:
         hessian=hessian,
         saddle=np.zeros(2),
         label="cubic_test",
+        hessian_gap_sq=hessian_gap_sq,
     )
 
 
@@ -178,6 +204,28 @@ def phase_retrieval(
         s = a @ np.asarray(x, dtype=float)
         return (a.T * (3.0 * s**2 - y)) @ a / m
 
+    # H(x) - H(z) = (3/m) sum_j w_j a_j a_j^T with w = (Ax)^2 - (Az)^2, whose
+    # squared Frobenius norm is (9/m^2) w^T (G o G) w, G = A A^T
+    gram = a @ a.T
+    gram_sq = gram * gram
+    row_sq = np.einsum("ij,ij->i", a, a)  # ||a_j||^2
+    sum_r, sum_r2 = float(row_sq.sum()), float(row_sq @ row_sq)
+
+    def hessian_gap_sq(x, z):
+        w = (x @ a.T) ** 2 - (z @ a.T) ** 2
+        closed = 9.0 / m**2 * np.einsum("pj,pj->p", w @ gram_sq, w)
+        xx = np.einsum("pi,pi->p", x, x) + np.einsum("pi,pi->p", z, z)
+        # First-order worst-case rounding, with |a_j . x| <= ||a_j|| ||x||:
+        # of the quadratic form (G, G o G and the products) in closed,
+        form_err = 9.0 / m**2 * (2 * n + 2 * m + 8) * _U * (np.abs(w) @ row_sq) ** 2
+        # of w (the products A x and their squares), through the triangle
+        # inequality over the rank-one terms,
+        w_err = 3.0 / m * (2 * n + 4) * _U * xx * sum_r2
+        # and of hessian at both points: 3 s^2 - y rounds by about u, and the
+        # m-term product sums the +-1 targets with a relative (m + 3) u.
+        eval_err = _U / m * (2 * (m + 4) * sum_r + (6 * n + 3 * m + 20) * xx * sum_r2)
+        return ((np.sqrt(closed + form_err) + w_err + eval_err) * (1.0 + 8.0 * _U)) ** 2
+
     h0 = hessian(np.zeros(n))
     lam0 = np.linalg.eigvalsh(h0)
     scale = np.max(np.abs(lam0))
@@ -188,7 +236,7 @@ def phase_retrieval(
 
     return SaddleProblem(
         dim=n, value=value, gradient=gradient, hessian=hessian,
-        saddle=np.zeros(n), label=label,
+        saddle=np.zeros(n), label=label, hessian_gap_sq=hessian_gap_sq,
     )
 
 
@@ -197,6 +245,53 @@ def _ball_point(rng: np.random.Generator, dim: int, eps: float) -> np.ndarray:
     d /= np.linalg.norm(d)
     r = eps * rng.uniform() ** (1.0 / dim)
     return r * d
+
+
+def _pair_points(
+    problem: SaddleProblem, eps: float, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Pairs start..stop-1 as a (2, stop - start, dim) stack of x and y.
+
+    Each pair draws from its own generator in _ball_point's order and is
+    normalized and scaled the same way (np.linalg.norm of a vector is
+    sqrt(d.dot(d))), so the points are bit for bit the ones _ball_point gives.
+    """
+    dim = problem.dim
+    dirs = np.empty((2, stop - start, dim))
+    sq = np.empty((2, stop - start))
+    radii = np.empty((2, stop - start))
+    for row, i in enumerate(range(start, stop)):
+        rng = np.random.default_rng((seed, 0, i))
+        for side in (0, 1):
+            d = rng.standard_normal(dim)
+            dirs[side, row] = d
+            sq[side, row] = d.dot(d)
+            radii[side, row] = eps * rng.uniform() ** (1.0 / dim)
+    return problem.saddle + radii[..., None] * (dirs / np.sqrt(sq)[..., None])
+
+
+def _screened_ratios(problem: SaddleProblem, eps: float, samples: int, seed: int) -> np.ndarray:
+    """An upper bound on the ratio estimate_constants computes for each pair.
+
+    +inf for every pair when the problem has no hessian_gap_sq, and for any
+    pair whose bound is not a number.
+    """
+    bounds = np.full(samples, np.inf)
+    if problem.hessian_gap_sq is None:
+        return bounds
+    dim = problem.dim
+    # The scalar ratio also rounds outside the Hessians: its Frobenius norm
+    # sums dim^2 squares, its gap (like the one here) sums dim, and a root
+    # and a division follow.
+    slack = 1.0 + (dim * dim + 4 * dim + 16) * _U
+    for start in range(0, samples, _SCREEN_BLOCK):
+        stop = min(start + _SCREEN_BLOCK, samples)
+        x, y = _pair_points(problem, eps, seed, start, stop)
+        gap = np.sqrt(np.einsum("pi,pi->p", x - y, x - y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bounds[start:stop] = np.sqrt(problem.hessian_gap_sq(x, y)) / gap * slack
+    bounds[np.isnan(bounds)] = np.inf
+    return bounds
 
 
 def estimate_constants(
@@ -214,10 +309,27 @@ def estimate_constants(
 
     Each pair i is drawn from an independent generator keyed by
     (seed, 0, i), so the estimate does not depend on evaluation order.
+
+    The pairs are first screened in blocks: problem.hessian_gap_sq bounds
+    each pair's ratio from above, rounding included, without evaluating a
+    Hessian.  Pairs are then rechecked in descending order of that bound,
+    each redrawn from its generator and its ratio computed with two
+    `hessian` calls, until the next bound is no larger than the best ratio
+    found.  No pair left unchecked can exceed it, so big_m is the maximum
+    over all pairs, bit for bit.  Equal bounds are rechecked in index order,
+    so a problem without a screen has every pair rechecked, in the order of
+    a plain loop.
     """
     spectrum = problem.spectrum
+    bounds = _screened_ratios(problem, eps, samples, seed)
     big_m = 0.0
-    for i in range(samples):
+    # argmax rather than a full sort: few pairs are rechecked, and a sort's
+    # arrays would raise the command's peak memory
+    while samples > 0:
+        i = int(np.argmax(bounds))
+        if not bounds[i] > big_m:
+            break
+        bounds[i] = -np.inf
         rng = np.random.default_rng((seed, 0, i))
         x = problem.saddle + _ball_point(rng, problem.dim, eps)
         y = problem.saddle + _ball_point(rng, problem.dim, eps)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -173,6 +174,36 @@ def shortcut_scans(tmp_path_factory):
     return scans, len(calls)
 
 
+@pytest.fixture(scope="module")
+def cubic_csv_scans(tmp_path_factory):
+    """(PsiConstants, k_max) of every scan the benchmark's cubic-csv command
+    makes (cubic, eps 1e-4, alpha_mode 0.005, seeds 0-3, four inits each),
+    and its psi call count."""
+    out = tmp_path_factory.mktemp("cubic")
+    config = out / "cubic.json"
+    config.write_text(json.dumps({
+        "problem": {"kind": "cubic"},
+        "eps": 1e-4,
+        "alpha_mode": 0.005,
+        "inits": [{"label": f"us{t:g}", "theta_us_sq": t} for t in (1e-8, 1e-4, 1e-2, 0.5)],
+        "seeds": [0, 1, 2, 3],
+        "out_prefix": "cubic",
+    }))
+    scans, calls = [], []
+    scan = bounds.k_iota_from_psi
+
+    def recording(p, k_max):
+        scans.append((p, k_max))
+        return scan(p, k_max)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "k_iota_from_psi", recording)
+        mp.setattr(bounds, "psi", counting_psi(calls))
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert len(scans) == 16
+    return scans, len(calls)
+
+
 class TestCertifiedScan:
     @given(
         big_l=st.floats(0.1, 10.0),
@@ -217,14 +248,16 @@ class TestCertifiedScan:
         assert psi_calls == []
 
     def test_cutoff_stops_a_crossing_free_scan_early(self, psi_calls):
-        # r = 0.8 and b2 = 0.01: r^2K <= b2 from K = 10.3 on, so the scan
-        # evaluates K = 1..11 and certifies the rest
+        # rates 0.4 and 0.8 with half the mass each, b2 = 0.01: the bracket
+        # 0.5 (0.16^K + 0.64^K) - 0.01 is first negative at K = 9 (0.0090
+        # against 0.0140 at K = 8), so the scan evaluates K = 1..9 and
+        # certifies the rest
         p = PsiConstants(c1=0.4, c2=0.5, c3=1.0, c4=0.8, b1=0.01, b2=0.01,
                          theta_s_sq=0.5, theta_us_sq=0.5)
-        with pytest.raises(NoLinearExit, match=r"psi\(K\) <= 0 for every K >= 11"):
+        with pytest.raises(NoLinearExit, match=r"psi\(K\) <= 0 for every K >= 9"):
             k_iota_from_psi(p, 1000)
-        assert psi_calls == list(range(1, 12))
-        assert all(psi(k, p) <= 0.0 for k in range(11, 1000))
+        assert psi_calls == list(range(1, 10))
+        assert all(psi(k, p) <= 0.0 for k in range(9, 1000))
         assert linear_k_iota(p, 1000) is None
 
     @pytest.mark.parametrize(
@@ -240,13 +273,48 @@ class TestCertifiedScan:
             # r = |c1| / c3 > 1
             PsiConstants(c1=-1.01, c2=0.5, c3=1.0, c4=0.5, b1=0.0, b2=1.0,
                          theta_s_sq=0.5, theta_us_sq=0.5),
+            # the bracket 0.5 (1 - 2^-50)^2K - 0.5 is first negative at K = 1,
+            # but one step decays it by 2^-49 of b2, within rounding
+            PsiConstants(c1=0.0, c2=0.5, c3=1.0, c4=1.0 - 2.0**-50, b1=0.01, b2=0.5,
+                         theta_s_sq=0.5, theta_us_sq=0.5),
         ],
-        ids=["b2-zero", "c2-negative", "r-one", "r-above-one"],
+        ids=["b2-zero", "c2-negative", "r-one", "r-above-one", "decay-within-rounding"],
     )
     def test_fallback_scans_the_whole_budget(self, p, psi_calls):
         with pytest.raises(NoLinearExit, match="psi stayed <= 1 through k_max = 20"):
             k_iota_from_psi(p, 20)
         assert psi_calls == list(range(1, 21))
+
+    def test_a_rate_without_mass_does_not_block_the_certificate(self, psi_calls):
+        # |c4| = c3, but no mass sits on the unstable part
+        p = PsiConstants(c1=0.5, c2=0.9, c3=1.0, c4=1.0, b1=0.01, b2=0.5,
+                         theta_s_sq=1.0, theta_us_sq=0.0)
+        with pytest.raises(NoLinearExit, match=r"psi\(K\) <= 0 for every K >= 1"):
+            k_iota_from_psi(p, 100_000)
+        assert psi_calls == [1]
+        assert linear_k_iota(p, 1000) is None
+
+    @pytest.mark.parametrize("index", range(16))
+    def test_matches_the_linear_scan_on_cubic_csv(self, cubic_csv_scans, index):
+        scans, _ = cubic_csv_scans
+        p, k_max = scans[index]
+        assert scanned_k_iota(p, k_max) == linear_k_iota(p, k_max)
+
+    def test_cubic_csv_crossing_free_runs_stop_at_the_certificate(
+        self, cubic_csv_scans, psi_calls
+    ):
+        # theta_us_sq 1e-8 (the first init of each seed) never crosses; the
+        # stable part decays like (|c1|/c3)^2K = 0.980^K and falls below b2
+        # = 7.1e-5 at K = 478, while |c4|/c3 = 0.9999986 alone would not
+        # certify before K = 3,395,774, far past the 18,470-step budget
+        scans, psi_evals = cubic_csv_scans
+        for p, k_max in scans[::4]:
+            assert p.theta_us_sq == 1e-8 and k_max == 18_470
+            with pytest.raises(NoLinearExit, match=r"psi\(K\) <= 0 for every K >= 478"):
+                k_iota_from_psi(p, k_max)
+        assert psi_calls == list(range(1, 479)) * 4
+        # the whole command (4 seeds x 4 inits) evaluates 7,960 psi values
+        assert psi_evals == 7_960
 
     def test_budget_message_when_the_certificate_lies_beyond_k_max(self):
         p = PsiConstants(c1=0.4, c2=0.5, c3=1.0, c4=0.8, b1=0.01, b2=0.01,

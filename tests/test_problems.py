@@ -1,5 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from saddlesim import spectral
@@ -8,6 +13,8 @@ from saddlesim.problems import (
     NotStrictSaddleAtZero,
     ProblemConstants,
     SaddleProblem,
+    _ball_point,
+    _pair_points,
     cubic_test,
     estimate_constants,
     phase_retrieval,
@@ -245,3 +252,165 @@ class TestValidateAssumptions:
         assert report["constants"] is None
         assert report["beta_ge_half_delta"] is None
         assert report["gradient_growth_ok"] is None
+
+
+def reference_big_m(problem, eps, samples, seed=0):
+    """Reference: the largest Hessian ratio over every point pair, one by one."""
+    big_m = 0.0
+    for i in range(samples):
+        rng = np.random.default_rng((seed, 0, i))
+        x = problem.saddle + _ball_point(rng, problem.dim, eps)
+        y = problem.saddle + _ball_point(rng, problem.dim, eps)
+        gap = np.linalg.norm(x - y)
+        if gap < 1e-12 * eps:
+            continue
+        ratio = np.linalg.norm(problem.hessian(x) - problem.hessian(y)) / gap
+        if ratio > big_m:
+            big_m = float(ratio)
+    return big_m
+
+
+def counting_hessian(problem):
+    """problem with a hessian that counts its calls, spectrum already decomposed."""
+    calls = []
+    hessian = problem.hessian
+
+    def counted(x):
+        calls.append(1)
+        return hessian(x)
+
+    counted_problem = dataclasses.replace(problem, hessian=counted)
+    counted_problem.spectrum
+    calls.clear()
+    return counted_problem, calls
+
+
+def unscreened(problem):
+    """The same problem built by hand, without a screen."""
+    return SaddleProblem(
+        dim=problem.dim, value=problem.value, gradient=problem.gradient,
+        hessian=problem.hessian, saddle=problem.saddle, label="hand-built",
+    )
+
+
+@st.composite
+def screened_problems(draw):
+    kind = draw(st.sampled_from(["quadratic", "cubic", "phase_retrieval", "injected"]))
+    if kind == "cubic":
+        return cubic_test()
+    n = draw(st.integers(2, 12))
+    if kind == "quadratic":
+        # a small value set repeats eigenvalues
+        lam = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0]),
+                            min_size=n, max_size=n))
+        assume(min(lam) < 0 < max(lam))
+        return quadratic_saddle(lam)
+    try:
+        if kind == "phase_retrieval":
+            return phase_retrieval(n, n, seed=draw(st.integers(0, 20)))
+        # one decimal per entry, so rows and products repeat
+        rows = np.random.default_rng(draw(st.integers(0, 1000))).standard_normal((n, n))
+        return phase_retrieval(n, n, a_matrix=np.round(rows, 1))
+    except NotStrictSaddleAtZero:
+        assume(False)
+
+
+class TestScreenedEstimate:
+    @given(
+        problem=screened_problems(),
+        log_eps=st.floats(-8.0, 0.0),
+        samples=st.integers(1, 700),
+        seed=st.integers(0, 20),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_reference_bit_for_bit(self, problem, log_eps, samples, seed):
+        eps = 10.0**log_eps
+        estimate = estimate_constants(problem, eps, samples=samples, seed=seed)
+        assert estimate.big_m == reference_big_m(problem, eps, samples, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, eps", [(20, 0.05), (60, 1e-6)])
+    def test_matches_the_reference_at_the_default_pairs(self, n, eps, seed):
+        problem = phase_retrieval(n, n, seed=seed)
+        estimate = estimate_constants(problem, eps, seed=seed)
+        assert estimate.big_m == reference_big_m(problem, eps, 10_000, seed)
+
+    @pytest.mark.parametrize("dim, eps, start", [(2, 1e-4, 0), (7, 0.3, 250), (60, 1e-6, 511)])
+    def test_block_points_are_the_ball_points(self, dim, eps, start):
+        problem = quadratic_saddle([1.0] * (dim - 1) + [-1.0])
+        x, y = _pair_points(problem, eps, 3, start, start + 9)
+        for row, i in enumerate(range(start, start + 9)):
+            rng = np.random.default_rng((3, 0, i))
+            assert np.array_equal(x[row], _ball_point(rng, dim, eps))
+            assert np.array_equal(y[row], _ball_point(rng, dim, eps))
+
+    @pytest.mark.parametrize(
+        "problem, eps",
+        [
+            (quadratic_saddle([2.0, -1.0, -1.0]), 0.1),
+            (cubic_test(), 0.05),
+            (cubic_test(), 1e-8),
+            (phase_retrieval(20, 20, seed=0), 0.05),
+            (phase_retrieval(60, 60, seed=1), 1e-6),
+            (phase_retrieval(9, 9, seed=2), 1e-8),
+        ],
+        ids=["quadratic", "cubic", "cubic-tiny-eps", "pr-n20", "pr-n60", "pr-tiny-eps"],
+    )
+    def test_screen_bounds_what_hessian_computes(self, problem, eps):
+        x, y = _pair_points(problem, eps, 0, 0, 300)
+        computed = np.array([
+            np.linalg.norm(problem.hessian(a) - problem.hessian(b)) ** 2
+            for a, b in zip(x, y)
+        ])
+        screen = problem.hessian_gap_sq(x, y)
+        assert np.all(screen >= computed)
+        if eps >= 0.05:  # the rounding allowance is negligible here
+            assert_allclose(screen, computed, rtol=1e-9)
+
+    def test_an_overstated_pair_is_rechecked_not_trusted(self):
+        base = phase_retrieval(8, 8, seed=1)
+        screen = base.hessian_gap_sq
+
+        def overstated(x, y):
+            out = screen(x, y)
+            if not overstated.done:  # pair 0, the first row of the first block
+                out[0] *= 100.0
+                overstated.done = True
+            return out
+
+        overstated.done = False
+        problem, calls = counting_hessian(dataclasses.replace(base, hessian_gap_sq=overstated))
+        expected = reference_big_m(base, 0.1, 500, seed=4)
+        assert reference_big_m(base, 0.1, 1, seed=4) < expected  # pair 0 is not the max
+        assert estimate_constants(problem, 0.1, samples=500, seed=4).big_m == expected
+        assert len(calls) == 4  # pair 0 first, then the true maximum
+
+    def test_a_problem_without_a_screen_checks_every_pair(self):
+        problem, calls = counting_hessian(unscreened(phase_retrieval(8, 8, seed=1)))
+        expected = reference_big_m(problem, 0.1, 500, seed=4)
+        calls.clear()
+        assert estimate_constants(problem, 0.1, samples=500, seed=4).big_m == expected
+        assert len(calls) == 1000
+
+    def test_phase_retrieval_rechecks_a_handful_of_pairs(self):
+        problem, calls = counting_hessian(phase_retrieval(20, 20, seed=0))
+        estimate_constants(problem, 0.05, samples=10_000, seed=0)
+        assert 2 <= len(calls) <= 10
+
+    def test_a_quadratic_evaluates_no_hessian(self):
+        problem, calls = counting_hessian(quadratic_saddle([1.0, 1.0, -2.0]))
+        assert estimate_constants(problem, 0.1, samples=10_000).big_m == 0.0
+        assert calls == []
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # screening all 10,000 pairs at once would hold about 30 MB of points
+        # and products at n=60
+        problem = phase_retrieval(60, 60, seed=0)
+        problem.spectrum
+        tracemalloc.start()
+        try:
+            estimate_constants(problem, 1e-6, samples=10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000

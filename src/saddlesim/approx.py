@@ -218,6 +218,13 @@ def reference_coefficients(
     return out
 
 
+# sample_family holds about four float64 copies of its (n_samples, n + n*n)
+# step block (32-34 bytes per element, measured); a config may ask for at
+# most 1 GiB of them.  MAX_FAMILY_SAMPLES is that cap at n = 2, the smallest
+# problem.
+MAX_FAMILY_BLOCK = (1 << 30) // 40
+MAX_FAMILY_SAMPLES = MAX_FAMILY_BLOCK // 6
+
 # Spawn-key tag of the family's step streams.  A spawn key is mixed in after
 # the seed is zero-padded to four words, so no plain key such as (seed, j) or
 # (seed, 0, i) names one of these streams.

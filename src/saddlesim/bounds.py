@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,17 @@ class PsiConstants:
         if self.b1 < 0 or self.b2 < 0:
             raise ValueError("b1 and b2 must be nonnegative")
 
+    @cached_property
+    def _psi_inputs(self) -> tuple:
+        """psi's bases c1, c2, c3, c4 and c3 c2, each with ln|base|, then b1,
+        b2 and the two masses, all as Python floats."""
+        c1, c2, c3, c4 = (float(c) for c in (self.c1, self.c2, self.c3, self.c4))
+        bases = tuple(
+            (c, math.log(abs(c)) if c else -math.inf) for c in (c1, c2, c3, c4, c3 * c2)
+        )
+        masses = float(self.theta_s_sq), float(self.theta_us_sq)
+        return bases, float(self.b1), float(self.b2), *masses
+
 
 def psi_constants(
     big_l: float,
@@ -104,24 +116,40 @@ def psi(big_k: int, p: PsiConstants) -> float:
         raise ValueError("big_k must be nonnegative")
     if k == 0:
         return (1.0 - 2.0 * p.b2) * (p.theta_s_sq + p.theta_us_sq)
-    # float64 powers saturate at +-inf instead of raising like Python floats
-    c1, c2, c3, c4 = (np.float64(c) for c in (p.c1, p.c2, p.c3, p.c4))
-    with np.errstate(over="ignore", invalid="ignore"):
-        stable = c1 ** (2 * k)
-        unstable = c4 ** (2 * k)
-        if p.b1 > 0:
-            stable -= 2.0 * k * c2 ** (2 * k - 1) * p.b1
-            unstable -= 2.0 * k * c3 ** (2 * k - 1) * p.b1
-        if p.b2 > 0:
-            shared = p.b2 * (c3 * c2) ** k + p.b2 * c3 ** (2 * k)
-            stable -= shared
-            unstable -= shared
-        out = float(stable * p.theta_s_sq + unstable * p.theta_us_sq)
+    (c1, c2, c3, c4, c32), b1, b2, theta_s_sq, theta_us_sq = p._psi_inputs
+    stable = _power(c1, 2 * k)
+    unstable = _power(c4, 2 * k)
+    if b1 > 0:
+        stable -= 2.0 * k * _power(c2, 2 * k - 1) * b1
+        unstable -= 2.0 * k * _power(c3, 2 * k - 1) * b1
+    if b2 > 0:
+        shared = b2 * _power(c32, k) + b2 * _power(c3, 2 * k)
+        stable -= shared
+        unstable -= shared
+    out = stable * theta_s_sq + unstable * theta_us_sq
     if math.isnan(out):
         # inf - inf: the subtracted terms carry the larger base (c3 >= c4,
         # c2 >= c1) plus a factor of K, so the true limit is -inf
         return float("-inf")
     return out
+
+
+def _power(base: tuple[float, float], e: int) -> float:
+    """c ** e for base = (c, ln|c|) as a float64 power gives it: +-inf past DBL_MAX.
+
+    A Python float power raises OverflowError there instead.  Past
+    e ln|c| = 710 the power surely overflows (ln DBL_MAX = 709.78, and the
+    rounding of e ln|c| is far below the difference), so the common
+    overflowing case raises nothing.
+    """
+    c, log_abs = base
+    if e * log_abs < 710.0:
+        try:
+            return c ** e
+        except OverflowError:
+            with np.errstate(over="ignore"):
+                return float(np.float64(c) ** e)
+    return -math.inf if c < 0 and e % 2 else math.inf
 
 
 def _certified_stop(p: PsiConstants) -> int | None:

@@ -184,9 +184,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("k_max must be at least 1")
     n_samples = _number(doc.get("n_samples", 200), "n_samples", int)
     estimate_samples = _number(doc.get("estimate_samples", 10_000), "estimate_samples", int)
-    for name, value in (("n_samples", n_samples), ("estimate_samples", estimate_samples)):
+    for name, value, cap in (
+        ("n_samples", n_samples, approx.MAX_FAMILY_SAMPLES),
+        ("estimate_samples", estimate_samples, problems.MAX_ESTIMATE_SAMPLES),
+    ):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1")
+        if value > cap:
+            raise ConfigError(f"{name} must be at most {cap}, got {value}")
     out_prefix = doc.get("out_prefix", "experiment")
     if not isinstance(out_prefix, str):
         raise ConfigError(f"out_prefix must be a string, got {out_prefix!r}")
@@ -521,6 +526,14 @@ def _cmd_approx(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_family(config: ExperimentConfig, args) -> int:
+    prob = config.problem
+    n = len(prob["lambdas"]) if prob["kind"] == "quadratic" else prob.get("n", 2)  # cubic: 2
+    floats = n + n * n  # per sample in a family step
+    if config.n_samples * floats > approx.MAX_FAMILY_BLOCK:
+        raise ConfigError(
+            f"n_samples must be at most {approx.MAX_FAMILY_BLOCK // floats} at n = {n}, "
+            f"got {config.n_samples}"
+        )
     out_rows = []
     summaries = []
     for run in _runs(config):

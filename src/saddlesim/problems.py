@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import spectral
+from . import spectral, streams
 from .perturb import eps_validity_bounds
 from .spectral import NoNegativeEigenvalue, NotMorse, NotSymmetric, SingleGroup
 
@@ -32,6 +32,11 @@ _U = np.finfo(float).eps / 2
 # point pairs drawn and screened together by estimate_constants; larger
 # blocks are no faster and raise peak memory
 _SCREEN_BLOCK = 64
+# estimate_constants holds 41 bytes per pair: its ratio bound (8), the
+# stream's seed words (32) and a NaN mask (1).  A config may ask for at most
+# 1 GiB of them, far fewer than the 2**32 streams a key's last word names.
+_PAIR_BYTES = 41
+MAX_ESTIMATE_SAMPLES = (1 << 30) // _PAIR_BYTES
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,10 @@ def phase_retrieval(
 
     Half the targets are +1 and half are -1, which makes the origin a critical
     point whose Hessian -(1/m) sum_j y_j a_j a_j^T generically has both signs.
-    Sensing vectors a_j are i.i.d. standard normal rows drawn from a
-    per-row generator seeded with (seed, j), so the instance is bit-identical
-    for a given (m, n, seed).  Pass a_matrix to inject deterministic rows.
+    Sensing vectors a_j are i.i.d. standard normal rows drawn from the
+    default_rng((seed, j)) stream of each row, so the instance is
+    bit-identical for a given (m, n, seed).  Pass a_matrix to inject
+    deterministic rows.
 
     Raises NotStrictSaddleAtZero when the sampled instance has a degenerate or
     sign-definite Hessian at the origin; callers should pick another seed
@@ -187,8 +193,8 @@ def phase_retrieval(
         label = f"phase_retrieval(m={m}, n={n}, injected)"
     else:
         a = np.empty((m, n))
-        for j in range(m):
-            a[j] = np.random.default_rng((seed, j)).standard_normal(n)
+        for j, rng in enumerate(streams.generators(streams.plain_key_words((seed,), 0, m))):
+            a[j] = rng.standard_normal(n)
         label = f"phase_retrieval(m={m}, n={n}, seed={seed})"
     y = np.where(np.arange(m) < m // 2, 1.0, -1.0)
 
@@ -248,25 +254,29 @@ def _ball_point(rng: np.random.Generator, dim: int, eps: float) -> np.ndarray:
 
 
 def _pair_points(
-    problem: SaddleProblem, eps: float, seed: int, start: int, stop: int
+    problem: SaddleProblem, eps: float, seed: int, start: int, stop: int,
+    words: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairs start..stop-1 as a (2, stop - start, dim) stack of x and y.
 
-    Each pair draws from its own generator in _ball_point's order and is
+    Each pair draws from its (seed, 0, i) stream in _ball_point's order and is
     normalized and scaled the same way (np.linalg.norm of a vector is
-    sqrt(d.dot(d))), so the points are bit for bit the ones _ball_point gives.
+    sqrt(d.dot(d)), and uniform() is 0.0 + 1.0 * random()), so the points are
+    bit for bit the ones _ball_point gives.  words, when given, holds the
+    streams' seed words for start..stop-1 (streams.plain_key_words).
     """
+    if words is None:
+        words = streams.plain_key_words((seed, 0), start, stop)
     dim = problem.dim
     dirs = np.empty((2, stop - start, dim))
     sq = np.empty((2, stop - start))
     radii = np.empty((2, stop - start))
-    for row, i in enumerate(range(start, stop)):
-        rng = np.random.default_rng((seed, 0, i))
+    for row, rng in enumerate(streams.generators(words)):
         for side in (0, 1):
             d = rng.standard_normal(dim)
             dirs[side, row] = d
             sq[side, row] = d.dot(d)
-            radii[side, row] = eps * rng.uniform() ** (1.0 / dim)
+            radii[side, row] = eps * rng.random() ** (1.0 / dim)
     return problem.saddle + radii[..., None] * (dirs / np.sqrt(sq)[..., None])
 
 
@@ -284,9 +294,10 @@ def _screened_ratios(problem: SaddleProblem, eps: float, samples: int, seed: int
     # sums dim^2 squares, its gap (like the one here) sums dim, and a root
     # and a division follow.
     slack = 1.0 + (dim * dim + 4 * dim + 16) * _U
+    words = streams.plain_key_words((seed, 0), 0, samples)
     for start in range(0, samples, _SCREEN_BLOCK):
         stop = min(start + _SCREEN_BLOCK, samples)
-        x, y = _pair_points(problem, eps, seed, start, stop)
+        x, y = _pair_points(problem, eps, seed, start, stop, words[start:stop])
         gap = np.sqrt(np.einsum("pi,pi->p", x - y, x - y))
         with np.errstate(divide="ignore", invalid="ignore"):
             bounds[start:stop] = np.sqrt(problem.hessian_gap_sq(x, y)) / gap * slack
@@ -309,6 +320,8 @@ def estimate_constants(
 
     Each pair i is drawn from an independent generator keyed by
     (seed, 0, i), so the estimate does not depend on evaluation order.
+    The screen derives all those streams in one pass (streams.py); the
+    recheck builds each one with default_rng, as the reference.
 
     The pairs are first screened in blocks: problem.hessian_gap_sq bounds
     each pair's ratio from above, rounding included, without evaluating a
@@ -416,8 +429,7 @@ def validate_assumptions(
     allowed = 1.0 + 10.0 * constants.big_m * eps / constants.big_l
     worst = 0.0
     sym_ok = True
-    for i in range(samples):
-        rng = np.random.default_rng((seed, 1, i))
+    for i, rng in enumerate(streams.generators(streams.plain_key_words((seed, 1), 0, samples))):
         d = rng.standard_normal(problem.dim)
         d /= np.linalg.norm(d)
         r = eps * rng.uniform(1e-6, 1.0)

@@ -121,6 +121,80 @@ class TestPsi:
                          theta_s_sq=0.5, theta_us_sq=0.5)
 
 
+def float64_psi(big_k, p):
+    """psi as a float64 computation: every power saturates at +-inf."""
+    k = int(big_k)
+    if k == 0:
+        return (1.0 - 2.0 * p.b2) * (p.theta_s_sq + p.theta_us_sq)
+    c1, c2, c3, c4 = (np.float64(c) for c in (p.c1, p.c2, p.c3, p.c4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stable = c1 ** (2 * k)
+        unstable = c4 ** (2 * k)
+        if p.b1 > 0:
+            stable -= 2.0 * k * c2 ** (2 * k - 1) * p.b1
+            unstable -= 2.0 * k * c3 ** (2 * k - 1) * p.b1
+        if p.b2 > 0:
+            shared = p.b2 * (c3 * c2) ** k + p.b2 * c3 ** (2 * k)
+            stable -= shared
+            unstable -= shared
+        out = float(stable * p.theta_s_sq + unstable * p.theta_us_sq)
+    return float("-inf") if math.isnan(out) else out
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def psi_inputs(draw):
+    """Constants with rates below, near and far above one, and a step K.
+
+    Half the draws aim K at the float64 overflow edge of the largest base:
+    2 K ln(top) near ln(DBL_MAX) = 709.78.
+    """
+    unit = st.floats(0.0, 1.0)
+    c3 = draw(st.floats(1e-3, 50.0))
+    c2 = c3 * draw(st.floats(-1.0, 0.999))
+    c1 = c2 - draw(st.floats(0.0, 2.0)) * c3
+    c4 = c3 * draw(st.floats(-1.0, 1.0))
+    b1 = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
+    b2 = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1e3))]))
+    theta_us_sq = draw(st.sampled_from([0.0, 1.0, draw(unit)]))
+    p = PsiConstants(c1, c2, c3, c4, b1, b2, 1.0 - theta_us_sq, theta_us_sq)
+    top = max(abs(c1), abs(c2), c3, abs(c4))
+    if top > 1.0 and draw(st.booleans()):
+        edge = draw(st.floats(700.0, 720.0)) / (2.0 * math.log(top))
+        return p, max(1, int(edge))
+    return p, draw(st.integers(0, 10**6))
+
+
+class TestPsiArithmetic:
+    @given(psi_inputs())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_float64_bit_for_bit(self, case):
+        p, k = case
+        assert bits(psi(k, p)) == bits(float64_psi(k, p))
+
+    @pytest.mark.parametrize(
+        "c, e",
+        [(1.1, 7447), (1.1, 7448), (-1.1, 7449), (-1.1, 7451), (1.1, 14_000), (2.0, 1023),
+         (2.0, 1024), (-2.0, 1025), (0.5, 1074), (0.5, 1080), (-0.0, 3), (1.0, 10**9),
+         (math.inf, 3), (-math.inf, 3)],
+    )
+    def test_power_saturates_like_float64(self, c, e):
+        # 1.1^7447 is finite; 1.1^7448 and 1.1^7449 overflow with e ln(1.1)
+        # = 709.9 < 710, through the branch where the Python power raises
+        log_abs = math.log(abs(c)) if c else -math.inf
+        with np.errstate(over="ignore"):
+            assert bits(bounds._power((c, log_abs), e)) == bits(np.float64(c) ** e)
+
+    def test_inf_minus_inf_is_minus_inf(self):
+        p = PsiConstants(c1=0.5, c2=0.9, c3=3.0, c4=2.0, b1=1.0, b2=1.0,
+                         theta_s_sq=0.5, theta_us_sq=0.5)
+        # c4^2000 and 2000 c3^1999 b1 are both inf
+        assert psi(1000, p) == float64_psi(1000, p) == -math.inf
+
+
 def linear_k_iota(p, k_max):
     """Reference: the scan of every K = 1..k_max, None when nothing crosses."""
     for k in range(1, k_max + 1):

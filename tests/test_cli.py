@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlesim import problems, spectral
+from saddlesim import approx, problems, spectral
 from saddlesim.cli import (
     ConfigError,
     emit,
@@ -81,6 +81,10 @@ class TestParseConfig:
             {"out_prefix": 5},
             {"inits": [{"label": None, "theta_us_sq": 0.1}]},
             {"inits": [{"label": ["x"], "theta_us_sq": 0.1}]},
+            {"n_samples": 10**14},
+            {"estimate_samples": 10**14},
+            {"n_samples": approx.MAX_FAMILY_SAMPLES + 1},
+            {"estimate_samples": problems.MAX_ESTIMATE_SAMPLES + 1},
         ],
     )
     def test_rejects_bad_fields(self, patch):
@@ -102,6 +106,8 @@ class TestParseConfig:
             ({"inits": [{"label": "x", "u0": [0.1, "y"]}]}, "u0"),
             ({"problem": {"kind": "phase_retrieval", "n": {}}}, "problem.n"),
             ({"problem": {"kind": "quadratic", "lambdas": "x"}}, "problem.lambdas"),
+            ({"estimate_samples": 10**14}, "estimate_samples"),
+            ({"n_samples": 10**14}, "n_samples"),
         ],
     )
     def test_malformed_value_names_the_field(self, patch, field):
@@ -109,6 +115,13 @@ class TestParseConfig:
         doc.update(patch)
         with pytest.raises(ConfigError, match=field):
             parse_config(doc)
+
+    def test_the_sample_caps_are_accepted(self):
+        doc = dict(BASE_DOC, n_samples=approx.MAX_FAMILY_SAMPLES,
+                   estimate_samples=problems.MAX_ESTIMATE_SAMPLES)
+        config = parse_config(doc)
+        assert config.estimate_samples < 2**32  # a stream index is one 32-bit word
+        assert config.n_samples == approx.MAX_FAMILY_SAMPLES
 
     def test_init_needs_exactly_one_start_spec(self):
         for init in (
@@ -305,6 +318,22 @@ class TestMain:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
         payload = json.loads((out / "demo_summary.json").read_text())
         assert [r["seed"] for r in payload["runs"]] == [7]
+
+    @pytest.mark.parametrize(
+        "patch, command, field",
+        [
+            ({"estimate_samples": 10**14}, "bounds", "estimate_samples"),
+            ({"n_samples": 10**14}, "family", "n_samples"),
+            # within the fixed cap, but an n = 60 family step would not fit
+            ({"n_samples": approx.MAX_FAMILY_SAMPLES,
+              "problem": {"kind": "phase_retrieval", "n": 60}}, "family", "n_samples"),
+        ],
+    )
+    def test_huge_sample_counts_exit_2(self, tmp_path, capsys, patch, command, field):
+        cfg = write_config(tmp_path, dict(BASE_DOC, **patch))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         doc = dict(BASE_DOC)

@@ -3,7 +3,7 @@
 Submodules:
     spectral  eigen-decomposition, gap grouping, sphere projections
     problems  test objectives and constant estimation
-    simulate  exact gradient-descent and gradient-flow radial runs
+    simulate  exact gradient-descent radial runs
     perturb   directional Hessian derivatives and spectral response rates
     approx    first-order coefficient trajectories and interval families
     bounds    exit-step estimates and their qualifying conditions
@@ -53,7 +53,6 @@ from .simulate import (
     RadialTrajectory,
     default_k_max,
     exit_time,
-    flow_run,
     gd_run,
     monotonicity_profile,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "exit_time",
     "exit_time_bound",
     "fd_step",
-    "flow_run",
     "gd_run",
     "group_eigenvalues",
     "hessian_first_order",

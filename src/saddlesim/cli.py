@@ -35,15 +35,9 @@ NUMERICAL_ERRORS = (
     spectral.SingleGroup,
     problems.NotStrictSaddle,
     problems.NotStrictSaddleAtZero,
-    simulate.NoExit,
-    simulate.StepTooLarge,
-    perturb.DegeneracyUnhandled,
     perturb.InvalidAlpha,
     approx.ZeroGap,
     approx.NoExitInFamily,
-    bounds.NoLinearExit,
-    bounds.VacuousBound,
-    bounds.OutOfDomain,
 )
 
 
@@ -103,6 +97,15 @@ def _number_list(value, field: str, kind=float) -> list:
     return [_number(v, field, kind) for v in value]
 
 
+def _problem_dim(prob: dict) -> int:
+    """Dimension of a parsed problem."""
+    if prob["kind"] == "quadratic":
+        return len(prob["lambdas"])
+    if prob["kind"] == "phase_retrieval":
+        return prob["n"]
+    return 2  # cubic
+
+
 def _parse_problem(prob) -> dict:
     if not isinstance(prob, dict) or prob.get("kind") not in (
         "quadratic",
@@ -111,21 +114,26 @@ def _parse_problem(prob) -> dict:
     ):
         raise ConfigError("problem.kind must be quadratic, cubic or phase_retrieval")
     kind = prob["kind"]
+    parsed = {"kind": kind}
     if kind == "quadratic":
         if "lambdas" not in prob:
             raise ConfigError("quadratic problem needs lambdas")
         lambdas = _number_list(prob["lambdas"], "problem.lambdas")
         if len(lambdas) < 2 or not all(math.isfinite(v) for v in lambdas):
             raise ConfigError("problem.lambdas must hold at least two finite numbers")
-        return {"kind": kind, "lambdas": lambdas}
+        parsed["lambdas"] = lambdas
     if kind == "phase_retrieval":
         if "n" not in prob:
             raise ConfigError("phase_retrieval problem needs n")
         n = _number(prob["n"], "problem.n", int)
         if n < 2:
             raise ConfigError("problem.n must be at least 2")
-        return {"kind": kind, "n": n}
-    return {"kind": kind}
+        parsed["n"] = n
+    dim = _problem_dim(parsed)
+    if dim > problems.MAX_DIM:
+        field = "problem.lambdas" if kind == "quadratic" else "problem.n"
+        raise ConfigError(f"{field} gives dimension {dim}, above the cap {problems.MAX_DIM}")
+    return parsed
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -526,8 +534,7 @@ def _cmd_approx(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_family(config: ExperimentConfig, args) -> int:
-    prob = config.problem
-    n = len(prob["lambdas"]) if prob["kind"] == "quadratic" else prob.get("n", 2)  # cubic: 2
+    n = _problem_dim(config.problem)
     floats = n + n * n  # per sample in a family step
     if config.n_samples * floats > approx.MAX_FAMILY_BLOCK:
         raise ConfigError(
@@ -609,7 +616,13 @@ def _write_or_print(obj, args, filename: str) -> None:
         sys.stdout.write(text)
 
 
+# far more seeds than any run can get through; checked before the list is built
+MAX_SEEDS = 1_000_000
+
+
 def _phase_retrieval_config(args) -> ExperimentConfig:
+    if args.num_seeds > MAX_SEEDS:
+        raise ConfigError(f"--num-seeds must be at most {MAX_SEEDS}, got {args.num_seeds}")
     return parse_config(
         {
             "problem": {"kind": "phase_retrieval", "n": args.n},

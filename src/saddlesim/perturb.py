@@ -34,13 +34,11 @@ class PerturbationData:
 
     h_matrix is symmetric; eigenvalue_rates[i] = <v_i, H v_i>;
     eigenvector_rates[:, i] is the rate of v_i and is orthogonal to v_i.
-    direction records the unit radial direction the derivative was taken in.
     """
 
     h_matrix: np.ndarray
     eigenvalue_rates: np.ndarray
     eigenvector_rates: np.ndarray
-    direction: np.ndarray | None
 
 
 def fd_step(eps: float) -> float:
@@ -72,7 +70,6 @@ def rs_corrections(
     spectrum: Spectrum,
     h_matrix: np.ndarray,
     degenerate: bool = False,
-    direction: np.ndarray | None = None,
 ) -> PerturbationData:
     """First-order eigenvalue and eigenvector rates under the perturbation h_matrix.
 
@@ -108,12 +105,7 @@ def rs_corrections(
     coeffs = np.where(keep, hv / np.where(keep, gaps, 1.0), 0.0)
     dv = v @ coeffs
 
-    return PerturbationData(
-        h_matrix=h,
-        eigenvalue_rates=rates,
-        eigenvector_rates=dv,
-        direction=None if direction is None else np.asarray(direction, dtype=float),
-    )
+    return PerturbationData(h_matrix=h, eigenvalue_rates=rates, eigenvector_rates=dv)
 
 
 def hessian_first_order(

@@ -8,6 +8,7 @@ origin is a strict saddle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable
@@ -37,6 +38,11 @@ _SCREEN_BLOCK = 64
 # 1 GiB of them, far fewer than the 2**32 streams a key's last word names.
 _PAIR_BYTES = 41
 MAX_ESTIMATE_SAMPLES = (1 << 30) // _PAIR_BYTES
+# A problem's build and its saddle decomposition hold about eight (n, n)
+# float64 arrays (8.3 to 9.3 by peak RSS at n = 2,048, under bounds and
+# validate).  A config may ask for 1 GiB of them: n <= 4,096.
+_DIM_ARRAYS = 8
+MAX_DIM = math.isqrt((1 << 30) // (8 * _DIM_ARRAYS))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact radial trajectories under gradient descent and gradient flow.
+"""Exact radial trajectories under gradient descent.
 
 A run starts on the eps-sphere around the saddle and records the radial
 vector u_k = x_k - x* at every step until the radius first leaves the ball
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,10 +22,6 @@ class NoExit(ValueError):
     """Trajectory never left the eps-ball within its budget."""
 
 
-class StepTooLarge(ValueError):
-    """An integrator step jumped far past the exit shell (norm > 10 eps)."""
-
-
 @dataclass(frozen=True)
 class RadialTrajectory:
     """Recorded radial history of one run.
@@ -34,8 +30,8 @@ class RadialTrajectory:
     corresponding radii.  exit_index is the first k >= 1 with norms[k] > eps,
     or None if the run exhausted its budget inside the ball.  The start row
     lies on the eps-sphere only up to rounding, so norms[0] can read one ulp
-    above eps.  alpha is the step size (the time step dt for flow runs).
-    budget is the step limit the run was given.
+    above eps.  alpha is the step size and budget the step limit the run
+    was given.
     """
 
     eps: float
@@ -56,41 +52,6 @@ class RadialTrajectory:
 def default_k_max(eps: float, alpha: float, beta: float) -> int:
     """Step budget generous enough for the slowest admissible escape rate."""
     return 10 * math.ceil(math.log(1.0 / eps) / math.log1p(alpha * beta))
-
-
-def _record(
-    problem: "SaddleProblem",
-    u0: np.ndarray,
-    step: Callable[[int, np.ndarray], np.ndarray],
-    budget: int,
-    eps: float,
-    alpha: float,
-) -> RadialTrajectory:
-    """Record u_k = x_k - x* for x_k = step(k, x_{k-1}) from x_0 = x* + u0.
-
-    Stops at the first k >= 1 with ||u_k|| > eps or after budget steps.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    x = problem.saddle + u0
-    radials = [u0.copy()]
-    norms = [float(np.linalg.norm(u0))]
-    exit_index = None
-    for k in range(1, budget + 1):
-        x = step(k, x)
-        u = x - problem.saddle
-        radials.append(u)
-        norms.append(float(np.linalg.norm(u)))
-        if norms[-1] > eps:
-            exit_index = k
-            break
-    return RadialTrajectory(
-        eps=float(eps),
-        alpha=float(alpha),
-        radials=np.array(radials),
-        exit_index=exit_index,
-        norms=np.array(norms),
-        budget=budget,
-    )
 
 
 def gd_run(
@@ -114,47 +75,27 @@ def gd_run(
         )
     if k_max is None:
         k_max = default_k_max(eps, alpha, spectrum.beta)
-    return _record(
-        problem, u0, lambda k, x: x - alpha * problem.gradient(x), k_max, eps, alpha
+    u0 = np.asarray(u0, dtype=float)
+    x = problem.saddle + u0
+    radials = [u0.copy()]
+    norms = [float(np.linalg.norm(u0))]
+    exit_index = None
+    for k in range(1, k_max + 1):
+        x = x - alpha * problem.gradient(x)
+        u = x - problem.saddle
+        radials.append(u)
+        norms.append(float(np.linalg.norm(u)))
+        if norms[-1] > eps:
+            exit_index = k
+            break
+    return RadialTrajectory(
+        eps=float(eps),
+        alpha=float(alpha),
+        radials=np.array(radials),
+        exit_index=exit_index,
+        norms=np.array(norms),
+        budget=k_max,
     )
-
-
-def _rk4_step(problem: "SaddleProblem", x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = -problem.gradient(x)
-    k2 = -problem.gradient(x + 0.5 * dt * k1)
-    k3 = -problem.gradient(x + 0.5 * dt * k2)
-    k4 = -problem.gradient(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def flow_run(
-    problem: "SaddleProblem",
-    u0: np.ndarray,
-    t_max: float,
-    dt: float,
-    eps: float,
-) -> RadialTrajectory:
-    """Integrate gradient flow dx/dt = -grad f(x) with classical fixed-step RK4.
-
-    Fixed steps keep runs bit-reproducible for a given dt.  Stops at the first
-    recorded radius above eps; a single step that lands past 10 * eps raises
-    StepTooLarge since the error estimate behind the exit record breaks down.
-    alpha on the returned trajectory holds dt.
-    """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("t_max and dt must be positive")
-    steps = math.ceil(t_max / dt)
-
-    def step(k: int, x: np.ndarray) -> np.ndarray:
-        x = _rk4_step(problem, x, dt)
-        r = float(np.linalg.norm(x - problem.saddle))
-        if r > 10.0 * eps:
-            raise StepTooLarge(
-                f"step {k} jumped to radius {r:.3g} > 10 * eps; reduce dt"
-            )
-        return x
-
-    return _record(problem, u0, step, steps, eps, dt)
 
 
 def exit_time(traj: RadialTrajectory) -> int:

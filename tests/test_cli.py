@@ -108,6 +108,8 @@ class TestParseConfig:
             ({"problem": {"kind": "quadratic", "lambdas": "x"}}, "problem.lambdas"),
             ({"estimate_samples": 10**14}, "estimate_samples"),
             ({"n_samples": 10**14}, "n_samples"),
+            ({"problem": {"kind": "phase_retrieval", "n": 10**7}}, "problem.n"),
+            ({"problem": {"kind": "quadratic", "lambdas": [1.0, -1.0] * 25_000}}, "problem.lambdas"),
         ],
     )
     def test_malformed_value_names_the_field(self, patch, field):
@@ -122,6 +124,16 @@ class TestParseConfig:
         config = parse_config(doc)
         assert config.estimate_samples < 2**32  # a stream index is one 32-bit word
         assert config.n_samples == approx.MAX_FAMILY_SAMPLES
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"kind": "phase_retrieval", "n": problems.MAX_DIM},
+            {"kind": "quadratic", "lambdas": [1.0, -1.0] * (problems.MAX_DIM // 2)},
+        ],
+    )
+    def test_the_dimension_cap_is_accepted(self, problem):
+        assert parse_config(dict(BASE_DOC, problem=problem)).problem == problem
 
     def test_init_needs_exactly_one_start_spec(self):
         for init in (
@@ -427,6 +439,34 @@ class TestMain:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 3
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize(
+        "patch, command, message",
+        [
+            ({"problem": {"kind": "quadratic", "lambdas": [1.0, 0.0, -1.0]}}, "bounds", "not Morse"),
+            ({"problem": {"kind": "phase_retrieval", "n": 8}, "seeds": [3]}, "bounds",
+             "not a nondegenerate strict saddle"),
+            ({"inits": [{"label": "x", "theta_us_sq": 0.0}], "k_max": 3, "n_samples": 5},
+             "family", "no sample exited"),
+        ],
+        ids=["NotMorse", "NotStrictSaddleAtZero", "NoExitInFamily"],
+    )
+    def test_numerical_failures_exit_3_with_one_line(self, tmp_path, capsys, patch, command, message):
+        cfg = write_config(tmp_path, dict(BASE_DOC, **patch))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: ") and message in err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        # checked before the seed list or any array is built
+        [("--num-seeds", 10**10, "--num-seeds"), ("--n", 10**7, "problem.n")],
+    )
+    def test_phase_retrieval_caps_exit_2(self, capsys, flag, value, field):
+        assert main(["phase-retrieval", flag, str(value)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
 
     def test_phase_retrieval_shortcut(self, tmp_path, capsys):
         out = tmp_path / "pr"

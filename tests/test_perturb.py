@@ -178,12 +178,6 @@ class TestRsCorrections:
         data = rs_corrections(spec, h, degenerate=degenerate)
         assert_allclose(data.eigenvector_rates, expected, rtol=1e-12, atol=1e-12)
 
-    def test_direction_is_recorded(self):
-        spec = decompose(np.diag([1.0, -1.0]))
-        d = np.array([0.6, 0.8])
-        data = rs_corrections(spec, np.zeros((2, 2)), direction=d)
-        assert_allclose(data.direction, d)
-
 
 class TestHessianFirstOrder:
     def test_zero_offset_returns_base(self):

@@ -6,10 +6,8 @@ from saddlesim.problems import cubic_test, quadratic_saddle
 from saddlesim.simulate import (
     NoExit,
     RadialTrajectory,
-    StepTooLarge,
     default_k_max,
     exit_time,
-    flow_run,
     gd_run,
     monotonicity_profile,
 )
@@ -81,58 +79,14 @@ class TestGradientDescent:
         assert traj.norms[traj.exit_index] > EPS
 
 
-class TestFlow:
-    def test_matches_exponential_solution(self):
-        # on diag(1, -1) the flow is u(t) = (a e^-t, b e^t)
-        prob = quadratic_saddle([1.0, -1.0])
-        u0 = EPS * np.array([0.995, 0.0999])
-        traj = flow_run(prob, u0, t_max=1.0, dt=1e-3, eps=EPS)
-        assert traj.exit_index is None
-        expected = np.array([0.0995 * np.exp(-1.0), 0.00999 * np.exp(1.0)])
-        assert_allclose(traj.radials[-1], expected, atol=1e-9)
-        assert traj.alpha == 1e-3  # dt rides in the alpha slot
-
-    def test_flow_exit_is_first_crossing(self):
-        prob = quadratic_saddle([1.0, -1.0])
-        u0 = EPS * np.array([0.995, 0.0999])
-        traj = flow_run(prob, u0, t_max=40.0, dt=0.01, eps=EPS)
-        k = traj.exit_index
-        assert k is not None
-        assert traj.norms[k] > EPS
-        assert np.all(traj.norms[1:k] <= EPS)
-        assert exit_time(traj) == k
-
-    def test_oversized_step_raises(self):
-        prob = quadratic_saddle([1.0, -1.0])
-        u0 = EPS * np.array([0.0999, 0.995])
-        with pytest.raises(StepTooLarge):
-            flow_run(prob, u0, t_max=10.0, dt=5.0, eps=EPS)
-
-    def test_argument_validation(self):
-        prob = quadratic_saddle([1.0, -1.0])
-        u0 = np.array([EPS, 0.0])
-        with pytest.raises(ValueError):
-            flow_run(prob, u0, t_max=0.0, dt=0.1, eps=EPS)
-        with pytest.raises(ValueError):
-            flow_run(prob, u0, t_max=1.0, dt=-0.1, eps=EPS)
-
-
-@pytest.mark.parametrize(
-    "run, budget",
-    [
-        (lambda prob, u0: gd_run(prob, u0, ALPHA, EPS, k_max=100), 100),
-        (lambda prob, u0: flow_run(prob, u0, t_max=40.0, dt=0.125, eps=EPS), 320),
-    ],
-    ids=["gd", "flow"],
-)
-def test_record_stops_at_its_exit_step(run, budget):
+def test_record_stops_at_its_exit_step():
     prob = quadratic_saddle([1.0, -1.0])
-    traj = run(prob, EPS * np.array([0.995, 0.0999]))
+    traj = gd_run(prob, EPS * np.array([0.995, 0.0999]), ALPHA, EPS, k_max=100)
     assert traj.exit_index is not None
     assert traj.exit_index == exit_time(traj)
     assert traj.radials.shape == (traj.exit_index + 1, 2)
     assert traj.norms.shape == (traj.exit_index + 1,)
-    assert traj.budget == budget
+    assert traj.budget == 100
 
 
 class TestTrajectoryHelpers:

@@ -11,20 +11,16 @@ of trajectories cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .perturb import directional_hessian_derivative, fd_step
-from .spectral import Projections, Spectrum, theta_full
+from .spectral import Projections, Spectrum, ZeroGap, theta_full
 
 if TYPE_CHECKING:
     from .problems import SaddleProblem
     from .simulate import RadialTrajectory
-
-
-class ZeroGap(ValueError):
-    """Transfer coefficient requested across a vanishing cross-group gap."""
 
 
 class NoExitInFamily(ValueError):
@@ -76,6 +72,33 @@ class FamilyResult:
     k_max: int
 
 
+def _coefficients(
+    spectrum: Spectrum, hv: np.ndarray, u_norm: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """c (B, n) and d (B, n, n) of B steps from stacked hv (B, n, n) and radii (B,).
+
+    Every operation is elementwise, so a step's coefficients do not depend on
+    the other steps stacked with it.
+    """
+    lam = spectrum.eigenvalues
+    c = 1.0 - alpha * lam - alpha * (u_norm / 2.0)[:, None] * np.diagonal(hv, axis1=1, axis2=2)
+    d = np.where(
+        spectrum.cross_group,
+        np.swapaxes(hv, 1, 2)
+        * lam[:, None]
+        * (alpha * u_norm / 2.0)[:, None, None]
+        / spectrum.cross_gaps,
+        0.0,
+    )
+    return c, d
+
+
+def _coefficient_set(spectrum: Spectrum, c: np.ndarray, d: np.ndarray, step: int) -> CoefficientSet:
+    return CoefficientSet(
+        c_s=c[spectrum.stable_idx], c_us=c[spectrum.unstable_idx], d=d, step=int(step)
+    )
+
+
 def coefficients_at(
     spectrum: Spectrum,
     h_matrix: np.ndarray,
@@ -91,33 +114,17 @@ def coefficients_at(
     for (i, l) in distinct groups; diagonal and within-group entries are zero.
     u_norm = 0 reduces to the frozen-Hessian map c_i = 1 - alpha * lam_i, d = 0.
 
-    Raises ZeroGap when a cross-group pair has a numerically vanishing gap.
+    Raises ZeroGap when a cross-group pair has a numerically vanishing gap
+    (spectrum.cross_gaps).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if u_norm < 0:
         raise ValueError("u_norm must be nonnegative")
-    lam = spectrum.eigenvalues
     v = spectrum.eigenvectors
     hv = v.T @ np.asarray(h_matrix, dtype=float) @ v
-
-    c = 1.0 - alpha * lam - alpha * (u_norm / 2.0) * np.diag(hv)
-
-    cross = spectrum.cross_group
-    gaps = lam[None, :] - lam[:, None]
-    tiny = 1e-12 * max(1.0, spectrum.big_l)
-    if np.any(cross & (np.abs(gaps) < tiny)):
-        raise ZeroGap("cross-group eigenvalue gap below resolution")
-    d = np.where(
-        cross, hv.T * lam[:, None] * (alpha * u_norm / 2.0) / np.where(cross, gaps, 1.0), 0.0
-    )
-
-    return CoefficientSet(
-        c_s=c[spectrum.stable_idx],
-        c_us=c[spectrum.unstable_idx],
-        d=d,
-        step=int(step),
-    )
+    c, d = _coefficients(spectrum, hv[None], np.array([u_norm], dtype=float), alpha)
+    return _coefficient_set(spectrum, c[0], d[0], step)
 
 
 def coefficient_intervals(
@@ -161,7 +168,7 @@ def _basis_parity(projections: Projections, spectrum: Spectrum) -> np.ndarray:
 def eps_trajectory(
     projections: Projections,
     spectrum: Spectrum,
-    coeffs: Sequence[CoefficientSet],
+    coeffs: Iterable[CoefficientSet],
     big_k: int,
 ) -> np.ndarray:
     """Model radial path u~_0 .. u~_K under a fixed coefficient sequence.
@@ -174,13 +181,14 @@ def eps_trajectory(
     one transfer insertion at every intermediate step, early factors carried
     by the receiving direction and late factors by the source.
 
-    Returns an array of shape (big_k + 1, n) of radial vectors; row 0
-    reconstructs u_0 exactly.  Requires len(coeffs) >= big_k.
+    coeffs may be any iterable, such as the lazy stream of
+    reference_coefficients; its sets are drawn one at a time, and no more
+    than big_k of them.  Returns an array of shape (big_k + 1, n) of
+    radial vectors; row 0 reconstructs u_0 exactly.  Raises ValueError when
+    coeffs holds fewer than big_k sets.
     """
     if big_k < 0:
         raise ValueError("big_k must be nonnegative")
-    if len(coeffs) < big_k:
-        raise ValueError(f"need {big_k} coefficient sets, got {len(coeffs)}")
     n = spectrum.dim
     a0 = _basis_parity(projections, spectrum) * theta_full(projections, spectrum)
     v = spectrum.eigenvectors
@@ -190,32 +198,84 @@ def eps_trajectory(
     path[0] = eps * (v @ a0)
     p = np.ones(n)
     b = np.zeros((n, n))
+    sets = iter(coeffs)
     for k in range(big_k):
-        c = _full_c(spectrum, coeffs[k])
-        b = b * c[None, :] + p[:, None] * coeffs[k].d
+        step = next(sets, None)
+        if step is None:
+            raise ValueError(f"need {big_k} coefficient sets, got {k}")
+        c = _full_c(spectrum, step)
+        b = b * c[None, :] + p[:, None] * step.d
         p = p * c
         path[k + 1] = eps * (v @ (p * a0 + b @ a0))
     return path
+
+
+# Steps whose coefficients reference_coefficients computes together: larger
+# blocks are no faster and hold more (n, n) transfer matrices at once.
+_BLOCK = 64
+
+
+def _derivative_in_eigenbasis(problem: "SaddleProblem", spectrum: Spectrum, eps: float) -> np.ndarray:
+    """W with W[i * n + l, j] = (V^T H'(v_j) V)[i, l], for the saddle eigenvectors v_j.
+
+    H' is linear in its direction, so V^T H'(u) V = (W @ (V^T u)).reshape(n, n).
+    H' is problem.hessian_derivative, or, for a problem without one, a
+    central difference with step fd_step(eps) along each eigenvector.
+    """
+    derivative = problem.hessian_derivative
+    if derivative is None:
+        h = fd_step(eps)
+
+        def derivative(u):
+            return directional_hessian_derivative(problem, u, h=h)
+
+    v = spectrum.eigenvectors
+    n = spectrum.dim
+    w = np.empty((n * n, n))
+    for j in range(n):
+        w[:, j] = (v.T @ derivative(v[:, j]) @ v).ravel()
+    return w
+
+
+def _coefficient_stream(
+    spectrum: Spectrum, w: np.ndarray, traj: "RadialTrajectory"
+) -> Iterator[CoefficientSet]:
+    n = spectrum.dim
+    steps = traj.norms.size
+    for start in range(0, steps, _BLOCK):
+        stop = min(start + _BLOCK, steps)
+        norms = traj.norms[start:stop]
+        z = (traj.radials[start:stop] / norms[:, None]) @ spectrum.eigenvectors
+        hv = (z @ w.T).reshape(stop - start, n, n)
+        c, d = _coefficients(spectrum, hv, norms, traj.alpha)
+        for b in range(stop - start):
+            yield _coefficient_set(spectrum, c[b], d[b], start + b)
 
 
 def reference_coefficients(
     problem: "SaddleProblem",
     spectrum: Spectrum,
     traj: "RadialTrajectory",
-) -> list[CoefficientSet]:
+) -> Iterator[CoefficientSet]:
     """Coefficient sequence evaluated along a recorded reference trajectory.
 
     Step k uses the run's alpha, the recorded radius ||u_k|| and direction
-    u_k / ||u_k||; the directional Hessian derivative is differenced with step
-    fd_step(eps).
+    u_k / ||u_k||, with the formulas of coefficients_at.  The Hessian
+    derivative along each eigenvector is taken once per call, exactly from
+    problem.hessian_derivative when the problem has one and otherwise by a
+    central difference with step fd_step(eps); every step is a linear
+    combination of those n matrices.
+
+    Returns a lazy iterator of one CoefficientSet per recorded point, steps
+    0 .. K.  The sets are computed _BLOCK steps at a time as they are drawn,
+    so a consumer that reads them one by one (eps_trajectory) holds about one
+    block of (n, n) transfer matrices, not all K + 1; wrap the call in
+    list(...) to index the sets.  Raises ZeroGap here, before any set is
+    drawn, when a cross-group gap vanishes.
     """
-    h = fd_step(traj.eps)
-    out = []
-    for k in range(traj.radials.shape[0]):
-        nrm = float(traj.norms[k])
-        hk = directional_hessian_derivative(problem, traj.radials[k] / nrm, h=h)
-        out.append(coefficients_at(spectrum, hk, nrm, traj.alpha, step=k))
-    return out
+    _ = spectrum.cross_gaps  # raises ZeroGap before any set is drawn
+    w = _derivative_in_eigenbasis(problem, spectrum, traj.eps)
+    return _coefficient_stream(spectrum, w, traj)
 
 
 # sample_family holds about four float64 copies of its (n_samples, n + n*n)

@@ -34,6 +34,10 @@ class WrongRadius(ValueError):
     """Initial offset does not lie on the sphere of the requested radius."""
 
 
+class ZeroGap(ValueError):
+    """Transfer coefficient requested across a vanishing cross-group gap."""
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigen-decomposition of a Hessian at a strict saddle.
@@ -74,6 +78,22 @@ class Spectrum:
         mask = owner[:, None] != owner[None, :]
         mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def cross_gaps(self) -> np.ndarray:
+        """Read-only (n, n) gaps lam_l - lam_i where cross_group is True, 1 elsewhere.
+
+        Raises ZeroGap when a cross-group gap is below 1e-12 * max(1, big_l);
+        the check then runs again on the next access, and nothing is cached.
+        """
+        lam = self.eigenvalues
+        cross = self.cross_group
+        gaps = lam[None, :] - lam[:, None]
+        if np.any(cross & (np.abs(gaps) < 1e-12 * max(1.0, self.big_l))):
+            raise ZeroGap("cross-group eigenvalue gap below resolution")
+        out = np.where(cross, gaps, 1.0)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

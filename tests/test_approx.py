@@ -1,7 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from saddlesim import approx
@@ -15,7 +18,14 @@ from saddlesim.approx import (
     reference_coefficients,
     sample_family,
 )
-from saddlesim.problems import cubic_test, estimate_constants, phase_retrieval, quadratic_saddle
+from saddlesim.perturb import directional_hessian_derivative, fd_step
+from saddlesim.problems import (
+    NotStrictSaddleAtZero,
+    cubic_test,
+    estimate_constants,
+    phase_retrieval,
+    quadratic_saddle,
+)
 from saddlesim.simulate import gd_run
 from saddlesim.spectral import Spectrum, decompose, project, theta_full
 
@@ -77,6 +87,11 @@ class TestCoefficientsAt:
         )
         with pytest.raises(ZeroGap):
             coefficients_at(spec, np.full((3, 3), 0.5), u_norm=0.1, alpha=0.1)
+        # reference_coefficients raises on the call, before any set is drawn
+        problem = quadratic_saddle(lam)
+        traj = gd_run(problem, np.array([0.0, 0.06, 0.08]), 0.1, 0.1, k_max=3)
+        with pytest.raises(ZeroGap):
+            reference_coefficients(problem, spec, traj)
 
     def test_step_recorded(self):
         coeffs = coefficients_at(plain_spectrum(), np.zeros((2, 2)), 0.1, 0.1, step=7)
@@ -106,7 +121,7 @@ class TestCoefficientIntervals:
         eps, alpha = 0.01, 0.1
         u0 = sphere_point(spec, eps, theta_us_sq=0.01)
         traj = gd_run(prob, u0, alpha, eps)
-        coeffs = reference_coefficients(prob, spec, traj)
+        coeffs = list(reference_coefficients(prob, spec, traj))
         iv = coefficient_intervals(
             spec.big_l, spec.beta, 2.0 * np.sqrt(2.0), spec.delta, alpha, eps
         )
@@ -179,6 +194,157 @@ class TestEpsTrajectory:
         path = eps_trajectory(proj, spec, coeffs, 1)
         assert_allclose(path[0], u0, atol=1e-15)
         assert_allclose(path[1], [0.9 * 0.06, -1.1 * 0.08], atol=1e-14)
+
+
+def per_step_coefficients(problem, spectrum, traj):
+    """The per-step reference: a central-difference H' at fd_step(eps) and one
+    coefficients_at call per recorded point."""
+    h = fd_step(traj.eps)
+    out = []
+    for k in range(traj.radials.shape[0]):
+        nrm = float(traj.norms[k])
+        hk = directional_hessian_derivative(problem, traj.radials[k] / nrm, h=h)
+        out.append(coefficients_at(spectrum, hk, nrm, traj.alpha, step=k))
+    return out
+
+
+def reference_run(problem, eps, alpha_mode, theta_us_sq, k_max):
+    spec = problem.spectrum
+    u0 = sphere_point(spec, eps, theta_us_sq)
+    return spec, gd_run(problem, u0, alpha_mode / spec.big_l, eps, k_max=k_max)
+
+
+@st.composite
+def flat_problems(draw):
+    """Problems whose H' vanishes at the saddle: quadratics and phase retrieval."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["quadratic", "seeded", "injected"]))
+    if kind == "quadratic":
+        mags = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+        n_us = draw(st.integers(1, n - 1))
+        return quadratic_saddle([m if i >= n_us else -m for i, m in enumerate(mags)])
+    seed = draw(st.integers(0, 2**16))
+    a = None
+    if kind == "injected":
+        a = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, n))
+    try:
+        return phase_retrieval(n, n, seed=seed, a_matrix=a)
+    except NotStrictSaddleAtZero:
+        assume(False)
+
+
+run_params = st.tuples(
+    st.sampled_from([1e-2, 1e-4, 1e-6]),  # eps
+    st.floats(0.01, 1.0),  # alpha_mode
+    st.floats(1e-6, 0.99),  # theta_us_sq
+)
+
+
+class TestStreamedCoefficients:
+    @given(flat_problems(), run_params)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_the_per_step_loop_where_h_prime_vanishes(self, problem, run):
+        eps, alpha_mode, theta_us_sq = run
+        spec, traj = reference_run(problem, eps, alpha_mode, theta_us_sq, k_max=200)
+        streamed = list(reference_coefficients(problem, spec, traj))
+        expected = per_step_coefficients(problem, spec, traj)
+        assert len(streamed) == len(expected) == traj.norms.size
+        for got, want in zip(streamed, expected):
+            assert got.step == want.step
+            assert np.array_equal(got.c_s, want.c_s)
+            assert np.array_equal(got.c_us, want.c_us)
+            assert np.array_equal(got.d, want.d)
+
+    @given(run_params)
+    @settings(max_examples=40, deadline=None)
+    def test_close_to_the_per_step_loop_on_the_cubic(self, run):
+        # the exact H' and the central difference agree to rounding
+        eps, alpha_mode, theta_us_sq = run
+        problem = cubic_test()
+        spec, traj = reference_run(problem, eps, alpha_mode, theta_us_sq, k_max=300)
+        streamed = list(reference_coefficients(problem, spec, traj))
+        expected = per_step_coefficients(problem, spec, traj)
+        assert len(streamed) == len(expected)
+        for got, want in zip(streamed, expected):
+            assert got.step == want.step
+            assert_allclose(got.c_s, want.c_s, rtol=0, atol=1e-9)
+            assert_allclose(got.c_us, want.c_us, rtol=0, atol=1e-9)
+            assert_allclose(got.d, want.d, rtol=0, atol=1e-9)
+
+    @given(
+        st.integers(2, 6),
+        st.floats(0.01, 10.0),
+        st.floats(1e-3, 1.0),
+        st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_coefficients_at_keeps_its_formula(self, n, alpha, u_norm, entries):
+        # the shared block helper reproduces the per-step formula bit for bit
+        lam = np.linspace(2.0, -1.5, n)
+        spec = decompose(np.diag(lam))
+        h = np.reshape(entries[: n * n], (n, n))
+        h = h + h.T
+        got = coefficients_at(spec, h, u_norm, alpha, step=3)
+        v = spec.eigenvectors
+        hv = v.T @ h @ v
+        lam = spec.eigenvalues
+        c = 1.0 - alpha * lam - alpha * (u_norm / 2.0) * np.diag(hv)
+        cross = spec.cross_group
+        gaps = lam[None, :] - lam[:, None]
+        d = np.where(
+            cross, hv.T * lam[:, None] * (alpha * u_norm / 2.0) / np.where(cross, gaps, 1.0), 0.0
+        )
+        assert np.array_equal(got.c_s, c[spec.stable_idx])
+        assert np.array_equal(got.c_us, c[spec.unstable_idx])
+        assert np.array_equal(got.d, d)
+        assert got.step == 3
+
+    def test_a_problem_without_the_hook_differences_once_per_eigenvector(self):
+        calls = []
+        cubic = cubic_test()
+
+        def hessian(x):
+            calls.append(1)
+            return cubic.hessian(x)
+
+        bare = dataclasses.replace(cubic, hessian=hessian, hessian_derivative=None)
+        spec, traj = reference_run(cubic, 0.01, 0.1, 0.01, k_max=None)
+        assert traj.norms.size > 20
+        hooked = list(reference_coefficients(cubic, spec, traj))
+        calls.clear()
+        differenced = list(reference_coefficients(bare, spec, traj))
+        assert len(calls) == 2 * spec.dim  # not two per step
+        for got, want in zip(differenced, hooked):
+            assert_allclose(got.c_s, want.c_s, rtol=0, atol=1e-9)
+            assert_allclose(got.c_us, want.c_us, rtol=0, atol=1e-9)
+            assert_allclose(got.d, want.d, rtol=0, atol=1e-9)
+
+    def test_streams_in_bounded_memory(self):
+        # n = 60, eps 1e-6: 4,240 steps whose (60, 60) transfer matrices
+        # would take 122 MB if all were held at once
+        problem = phase_retrieval(60, 60, seed=0)
+        spec, traj = reference_run(problem, 1e-6, 0.002, 1e-6, k_max=None)
+        assert traj.norms.size > 4000
+        proj = project(traj.radials[0], spec, 1e-6)
+        tracemalloc.start()
+        try:
+            coeffs = reference_coefficients(problem, spec, traj)
+            path = eps_trajectory(proj, spec, coeffs, traj.norms.size - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.shape == traj.radials.shape
+        assert peak < 20 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_a_short_iterator_names_the_shortfall(self):
+        problem = cubic_test()
+        spec, traj = reference_run(problem, 0.01, 0.1, 0.01, k_max=10)
+        proj = project(traj.radials[0], spec, 0.01)
+        sets = list(reference_coefficients(problem, spec, traj))
+        with pytest.raises(ValueError, match="need 5 coefficient sets, got 3"):
+            eps_trajectory(proj, spec, iter(sets[:3]), 5)
+        with pytest.raises(ValueError, match=f"need 20 coefficient sets, got {len(sets)}"):
+            eps_trajectory(proj, spec, reference_coefficients(problem, spec, traj), 20)
 
 
 class TestSampleFamily:
@@ -380,7 +546,7 @@ def test_reference_coefficients_defaults_track_the_run():
     eps = 0.01
     u0 = sphere_point(spec, eps, theta_us_sq=0.05)
     traj = gd_run(prob, u0, 0.1, eps, k_max=10)
-    coeffs = reference_coefficients(prob, spec, traj)
+    coeffs = list(reference_coefficients(prob, spec, traj))
     assert len(coeffs) == traj.norms.size  # one per recorded point
     for k, c in enumerate(coeffs):
         assert c.step == k

@@ -116,6 +116,15 @@ class TestGrouping:
         with pytest.raises(ValueError):
             spec.cross_group[0, 0] = True
 
+    def test_cross_gaps(self):
+        spec = decompose(np.diag([1.0 + 1e-9, 1.0, -1.0]))
+        lam = spec.eigenvalues
+        expected = np.where(spec.cross_group, lam[None, :] - lam[:, None], 1.0)
+        np.testing.assert_array_equal(spec.cross_gaps, expected)
+        assert spec.cross_gaps is spec.cross_gaps
+        with pytest.raises(ValueError):
+            spec.cross_gaps[0, 2] = 1.0
+
     def test_grouping_invariant_under_conjugation(self):
         # same spectrum seen through a rotated basis gives the same partition
         a = np.diag([2.0, 1.99, 0.5, -0.5, -2.0])

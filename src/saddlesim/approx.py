@@ -219,21 +219,14 @@ def _derivative_in_eigenbasis(problem: "SaddleProblem", spectrum: Spectrum, eps:
     """W with W[i * n + l, j] = (V^T H'(v_j) V)[i, l], for the saddle eigenvectors v_j.
 
     H' is linear in its direction, so V^T H'(u) V = (W @ (V^T u)).reshape(n, n).
-    H' is problem.hessian_derivative, or, for a problem without one, a
-    central difference with step fd_step(eps) along each eigenvector.
+    H'(v_j) is a central difference with step fd_step(eps) along v_j.
     """
-    derivative = problem.hessian_derivative
-    if derivative is None:
-        h = fd_step(eps)
-
-        def derivative(u):
-            return directional_hessian_derivative(problem, u, h=h)
-
+    h = fd_step(eps)
     v = spectrum.eigenvectors
     n = spectrum.dim
     w = np.empty((n * n, n))
     for j in range(n):
-        w[:, j] = (v.T @ derivative(v[:, j]) @ v).ravel()
+        w[:, j] = (v.T @ directional_hessian_derivative(problem, v[:, j], h=h) @ v).ravel()
     return w
 
 
@@ -261,10 +254,9 @@ def reference_coefficients(
 
     Step k uses the run's alpha, the recorded radius ||u_k|| and direction
     u_k / ||u_k||, with the formulas of coefficients_at.  The Hessian
-    derivative along each eigenvector is taken once per call, exactly from
-    problem.hessian_derivative when the problem has one and otherwise by a
-    central difference with step fd_step(eps); every step is a linear
-    combination of those n matrices.
+    derivative along each saddle eigenvector is taken once per call, by a
+    central difference with step fd_step(eps); H' is linear in its
+    direction, so every step's H' is a combination of those n matrices.
 
     Returns a lazy iterator of one CoefficientSet per recorded point, steps
     0 .. K.  The sets are computed _BLOCK steps at a time as they are drawn,

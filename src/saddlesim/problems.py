@@ -59,12 +59,6 @@ class SaddleProblem:
     evaluations and their difference produce it: the closed form plus an
     allowance for the rounding of both.  estimate_constants screens its
     point pairs with it; None sends every pair to the scalar evaluation.
-
-    hessian_derivative, when given, takes a direction u of shape (dim,) and
-    returns the exact derivative H'(u) = d/dt hessian(saddle + t u) at t = 0,
-    a symmetric (dim, dim) array linear in u.  approx.reference_coefficients
-    reads it; with None it takes a central difference of hessian along each
-    saddle eigenvector instead.
     """
 
     dim: int
@@ -74,7 +68,6 @@ class SaddleProblem:
     saddle: np.ndarray
     label: str
     hessian_gap_sq: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    hessian_derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     @cached_property
     def spectrum(self) -> spectral.Spectrum:
@@ -140,7 +133,6 @@ def _quadratic(lambdas) -> SaddleProblem:
         label=f"quadratic_saddle({lam.tolist()})",
         # every evaluation returns the same matrix, so each difference is exactly zero
         hessian_gap_sq=lambda x, y: np.zeros(len(x)),
-        hessian_derivative=lambda u: np.zeros((lam.size, lam.size)),
     )
 
 
@@ -171,10 +163,6 @@ def cubic_test() -> SaddleProblem:
         d1 = np.abs(x[:, 1] - y[:, 1]) + _U * (2.0 + 4.0 * (np.abs(x[:, 1]) + np.abs(y[:, 1])))
         return (8.0 * d0**2 + 4.0 * d1**2) * (1.0 + 16.0 * _U)
 
-    def hessian_derivative(u):
-        u = np.asarray(u, dtype=float)
-        return np.array([[2.0 * u[1], 2.0 * u[0]], [2.0 * u[0], 0.0]])
-
     return SaddleProblem(
         dim=2,
         value=value,
@@ -183,7 +171,6 @@ def cubic_test() -> SaddleProblem:
         saddle=np.zeros(2),
         label="cubic_test",
         hessian_gap_sq=hessian_gap_sq,
-        hessian_derivative=hessian_derivative,
     )
 
 
@@ -251,15 +238,7 @@ def phase_retrieval(
         eval_err = _U / m * (2 * (m + 4) * sum_r + (6 * n + 3 * m + 20) * xx * sum_r2)
         return ((np.sqrt(closed + form_err) + w_err + eval_err) * (1.0 + 8.0 * _U)) ** 2
 
-    # d/dt of (1/m) A^T diag(3 (A(x* + t u))^2 - y) A at t = 0; zero at x* = 0
-    saddle = np.zeros(n)
-    s_saddle = a @ saddle
-
-    def hessian_derivative(u):
-        w = s_saddle * (a @ np.asarray(u, dtype=float))
-        return (a.T * (6.0 * w)) @ a / m
-
-    h0 = hessian(saddle)
+    h0 = hessian(np.zeros(n))
     lam0 = np.linalg.eigvalsh(h0)
     scale = np.max(np.abs(lam0))
     if lam0.min() >= 0 or lam0.max() <= 0 or np.min(np.abs(lam0)) <= 1e-8 * scale:
@@ -269,8 +248,7 @@ def phase_retrieval(
 
     return SaddleProblem(
         dim=n, value=value, gradient=gradient, hessian=hessian,
-        saddle=saddle, label=label, hessian_gap_sq=hessian_gap_sq,
-        hessian_derivative=hessian_derivative,
+        saddle=np.zeros(n), label=label, hessian_gap_sq=hessian_gap_sq,
     )
 
 

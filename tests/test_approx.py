@@ -258,7 +258,8 @@ class TestStreamedCoefficients:
     @given(run_params)
     @settings(max_examples=40, deadline=None)
     def test_close_to_the_per_step_loop_on_the_cubic(self, run):
-        # the exact H' and the central difference agree to rounding
+        # differences along the eigenvectors and along each step's direction
+        # agree to O(h^2): the cubic's Hessian is linear, so to rounding
         eps, alpha_mode, theta_us_sq = run
         problem = cubic_test()
         spec, traj = reference_run(problem, eps, alpha_mode, theta_us_sq, k_max=300)
@@ -299,7 +300,7 @@ class TestStreamedCoefficients:
         assert np.array_equal(got.d, d)
         assert got.step == 3
 
-    def test_a_problem_without_the_hook_differences_once_per_eigenvector(self):
+    def test_differences_once_per_eigenvector(self):
         calls = []
         cubic = cubic_test()
 
@@ -307,17 +308,13 @@ class TestStreamedCoefficients:
             calls.append(1)
             return cubic.hessian(x)
 
-        bare = dataclasses.replace(cubic, hessian=hessian, hessian_derivative=None)
+        counted = dataclasses.replace(cubic, hessian=hessian)
         spec, traj = reference_run(cubic, 0.01, 0.1, 0.01, k_max=None)
         assert traj.norms.size > 20
-        hooked = list(reference_coefficients(cubic, spec, traj))
-        calls.clear()
-        differenced = list(reference_coefficients(bare, spec, traj))
+        streamed = reference_coefficients(counted, spec, traj)
         assert len(calls) == 2 * spec.dim  # not two per step
-        for got, want in zip(differenced, hooked):
-            assert_allclose(got.c_s, want.c_s, rtol=0, atol=1e-9)
-            assert_allclose(got.c_us, want.c_us, rtol=0, atol=1e-9)
-            assert_allclose(got.d, want.d, rtol=0, atol=1e-9)
+        assert len(list(streamed)) == traj.norms.size
+        assert len(calls) == 2 * spec.dim
 
     def test_streams_in_bounded_memory(self):
         # n = 60, eps 1e-6: 4,240 steps whose (60, 60) transfer matrices

@@ -164,38 +164,12 @@ class TestDerivativeConsistency:
                 cols.append((prob.gradient(x + e) - prob.gradient(x - e)) / (2.0 * h))
             assert_allclose(np.column_stack(cols), prob.hessian(x), atol=1e-8)
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            cubic_test,
-            lambda: quadratic_saddle([1.5, 0.2, -0.7]),
-            lambda: phase_retrieval(12, 12, seed=0),
-            lambda: phase_retrieval(
-                6, 6, a_matrix=np.random.default_rng(3).uniform(-2.0, 2.0, (6, 6))
-            ),
-        ],
-    )
-    def test_hessian_derivative_matches_the_central_difference(self, factory):
-        prob = factory()
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            u = rng.standard_normal(prob.dim)
-            u_hat = u / np.linalg.norm(u)
-            exact = prob.hessian_derivative(u_hat)
-            assert exact.shape == (prob.dim, prob.dim)
-            assert np.array_equal(exact, exact.T)
-            assert_allclose(
-                exact, directional_hessian_derivative(prob, u_hat), rtol=0, atol=1e-9
-            )
-            assert_allclose(
-                prob.hessian_derivative(u), np.linalg.norm(u) * exact, rtol=1e-12, atol=1e-15
-            )
-
     def test_phase_retrieval_hessian_is_flat_at_the_origin(self):
-        # H(x) - H(0) = (3/m) A^T diag((Ax)^2) A is second order in x
+        # H(x) - H(0) = (3/m) A^T diag((Ax)^2) A is even in x, so the
+        # central difference of the Hessian at the saddle is exactly zero
         prob = phase_retrieval(20, 20, seed=0)
         u = np.random.default_rng(4).standard_normal(20)
-        assert not np.any(prob.hessian_derivative(u))
+        assert not np.any(directional_hessian_derivative(prob, u, h=1e-6))
 
 
 def test_spectrum_is_decomposed_once(monkeypatch):

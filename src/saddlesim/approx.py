@@ -11,6 +11,7 @@ of trajectories cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -40,6 +41,20 @@ class CoefficientSet:
     c_us: np.ndarray
     d: np.ndarray
     step: int
+
+
+@dataclass(frozen=True)
+class CoefficientBlock:
+    """Steps start .. start + B - 1 of a coefficient sequence, held together.
+
+    c is (B, n), every direction's diagonal factor in spectrum order.  d is
+    the (B, n, n) stack of transfer matrices, or None when every transfer
+    of the block is exactly zero.
+    """
+
+    start: int
+    c: np.ndarray
+    d: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,7 @@ def _coefficients(
     the other steps stacked with it.
     """
     lam = spectrum.eigenvalues
-    c = 1.0 - alpha * lam - alpha * (u_norm / 2.0)[:, None] * np.diagonal(hv, axis1=1, axis2=2)
+    c = _diagonal_factors(lam, np.diagonal(hv, axis1=1, axis2=2), u_norm, alpha)
     d = np.where(
         spectrum.cross_group,
         np.swapaxes(hv, 1, 2)
@@ -91,6 +106,13 @@ def _coefficients(
         0.0,
     )
     return c, d
+
+
+def _diagonal_factors(
+    lam: np.ndarray, hv_diag: np.ndarray, u_norm: np.ndarray, alpha: float
+) -> np.ndarray:
+    """c (B, n) from the diagonal of hv, (B, n) or one (n,) row for every step."""
+    return 1.0 - alpha * lam - alpha * (u_norm / 2.0)[:, None] * hv_diag
 
 
 def _coefficient_set(spectrum: Spectrum, c: np.ndarray, d: np.ndarray, step: int) -> CoefficientSet:
@@ -152,17 +174,28 @@ def coefficient_intervals(
     )
 
 
-def _full_c(spectrum: Spectrum, coeffs: CoefficientSet) -> np.ndarray:
-    c = np.empty(spectrum.dim)
-    c[spectrum.stable_idx] = coeffs.c_s
-    c[spectrum.unstable_idx] = coeffs.c_us
-    return c
-
-
 def _basis_parity(projections: Projections, spectrum: Spectrum) -> np.ndarray:
     # signed_basis columns are +-1 times the spectrum columns; recover the signs.
     dots = np.einsum("ji,ji->i", projections.signed_basis, spectrum.eigenvectors)
     return np.where(dots < 0, -1.0, 1.0)
+
+
+# Steps whose coefficients are computed and consumed together: larger blocks
+# are no faster and hold more (n, n) transfer matrices at once.
+_BLOCK = 64
+
+
+def _set_blocks(spectrum: Spectrum, sets: Iterable[CoefficientSet]) -> Iterator[CoefficientBlock]:
+    """Any iterable of sets as blocks of _BLOCK steps, drawn as they are needed."""
+    sets = iter(sets)
+    start = 0
+    while chunk := list(islice(sets, _BLOCK)):
+        c = np.empty((len(chunk), spectrum.dim))
+        c[:, spectrum.stable_idx] = [s.c_s for s in chunk]
+        c[:, spectrum.unstable_idx] = [s.c_us for s in chunk]
+        d = np.stack([s.d for s in chunk])
+        yield CoefficientBlock(start, c, d if d.any() else None)
+        start += len(chunk)
 
 
 def eps_trajectory(
@@ -181,11 +214,18 @@ def eps_trajectory(
     one transfer insertion at every intermediate step, early factors carried
     by the receiving direction and late factors by the source.
 
-    coeffs may be any iterable, such as the lazy stream of
-    reference_coefficients; its sets are drawn one at a time, and no more
-    than big_k of them.  Returns an array of shape (big_k + 1, n) of
-    radial vectors; row 0 reconstructs u_0 exactly.  Raises ValueError when
-    coeffs holds fewer than big_k sets.
+    coeffs may be any iterable of sets; no more than big_k of them are
+    drawn, _BLOCK at a time.  reference_coefficients hands over its blocks
+    directly.  Each block takes P from one running product.  B is zero, and
+    is not formed, until a step has a nonzero transfer or a non-finite P or
+    c (inf * 0 is NaN); from there the (n, n) recurrence runs step by step,
+    so every row, NaN and inf included, is the one the step-by-step
+    recurrence gives.  Where H' vanishes that never happens on a finite run:
+    the path is the frozen-Hessian map at O(n^2) per step.
+
+    Returns an array of shape (big_k + 1, n) of radial vectors; row 0
+    reconstructs u_0 exactly.  Raises ValueError when coeffs holds fewer
+    than big_k sets.
     """
     if big_k < 0:
         raise ValueError("big_k must be nonnegative")
@@ -193,26 +233,42 @@ def eps_trajectory(
     a0 = _basis_parity(projections, spectrum) * theta_full(projections, spectrum)
     v = spectrum.eigenvectors
     eps = projections.eps
+    if isinstance(coeffs, ReferenceCoefficients):
+        blocks = coeffs.blocks()
+    else:
+        blocks = _set_blocks(spectrum, islice(coeffs, big_k))
 
     path = np.empty((big_k + 1, n))
     path[0] = eps * (v @ a0)
     p = np.ones(n)
-    b = np.zeros((n, n))
-    sets = iter(coeffs)
-    for k in range(big_k):
-        step = next(sets, None)
-        if step is None:
-            raise ValueError(f"need {big_k} coefficient sets, got {k}")
-        c = _full_c(spectrum, step)
-        b = b * c[None, :] + p[:, None] * step.d
-        p = p * c
-        path[k + 1] = eps * (v @ (p * a0 + b @ a0))
+    # None while B is exactly zero; B @ a(0) is then zero unless a(0) is not finite
+    b = None if np.all(np.isfinite(a0)) else np.zeros((n, n))
+    k = 0
+    for block in blocks:
+        if k == big_k:
+            break
+        c = block.c[: big_k - k]
+        m = c.shape[0]
+        ps = np.multiply.accumulate(np.concatenate([p[None], c]), axis=0)  # ps[j] = P(k + j)
+        pa = ps[1:] * a0
+        zero_b = 0  # steps of the block after which B is still zero
+        if b is None and block.d is None:
+            # B(k + j + 1) = B(k + j) * c + P(k + j) * 0 stays zero while P and c are finite
+            finite = np.isfinite(ps[:-1]).all(axis=1) & np.isfinite(c).all(axis=1)
+            zero_b = m if finite.all() else int(np.argmin(finite))
+        for j in range(zero_b):
+            path[k + j + 1] = eps * (v @ pa[j])
+        if zero_b < m and b is None:
+            b = np.zeros((n, n))
+        for j in range(zero_b, m):
+            d = 0.0 if block.d is None else block.d[j]
+            b = b * c[j] + ps[j][:, None] * d
+            path[k + j + 1] = eps * (v @ (pa[j] + b @ a0))
+        p = ps[-1]
+        k += m
+    if k < big_k:
+        raise ValueError(f"need {big_k} coefficient sets, got {k}")
     return path
-
-
-# Steps whose coefficients reference_coefficients computes together: larger
-# blocks are no faster and hold more (n, n) transfer matrices at once.
-_BLOCK = 64
 
 
 def _derivative_in_eigenbasis(problem: "SaddleProblem", spectrum: Spectrum, eps: float) -> np.ndarray:
@@ -230,26 +286,54 @@ def _derivative_in_eigenbasis(problem: "SaddleProblem", spectrum: Spectrum, eps:
     return w
 
 
-def _coefficient_stream(
-    spectrum: Spectrum, w: np.ndarray, traj: "RadialTrajectory"
-) -> Iterator[CoefficientSet]:
-    n = spectrum.dim
-    steps = traj.norms.size
-    for start in range(0, steps, _BLOCK):
-        stop = min(start + _BLOCK, steps)
-        norms = traj.norms[start:stop]
-        z = (traj.radials[start:stop] / norms[:, None]) @ spectrum.eigenvectors
-        hv = (z @ w.T).reshape(stop - start, n, n)
-        c, d = _coefficients(spectrum, hv, norms, traj.alpha)
-        for b in range(stop - start):
-            yield _coefficient_set(spectrum, c[b], d[b], start + b)
+class ReferenceCoefficients:
+    """The coefficient sequence of a recorded trajectory, computed lazily.
+
+    Iterating gives one CoefficientSet per recorded point; blocks() gives
+    the same steps as CoefficientBlocks, which is how eps_trajectory reads
+    them.  Either way the steps are computed _BLOCK at a time as they are
+    drawn, and every pass computes them afresh.
+    """
+
+    def __init__(self, spectrum: Spectrum, w: np.ndarray, traj: "RadialTrajectory"):
+        self._spectrum = spectrum
+        self._w = w
+        self._flat = not w.any()  # H' vanishes along every eigenvector
+        self._traj = traj
+
+    def blocks(self) -> Iterator[CoefficientBlock]:
+        spectrum, traj = self._spectrum, self._traj
+        n = spectrum.dim
+        steps = traj.norms.size
+        for start in range(0, steps, _BLOCK):
+            stop = min(start + _BLOCK, steps)
+            norms = traj.norms[start:stop]
+            # a run that lands on the saddle has no direction there (0 / 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                directions = traj.radials[start:stop] / norms[:, None]
+            if self._flat and np.all(np.isfinite(directions)) and np.all(np.isfinite(norms)):
+                # hv = z @ W^T would be exactly zero: no transfer, c as at radius zero
+                c = _diagonal_factors(spectrum.eigenvalues, np.zeros(n), norms, traj.alpha)
+                yield CoefficientBlock(start, c, None)
+                continue
+            z = directions @ spectrum.eigenvectors
+            hv = (z @ self._w.T).reshape(stop - start, n, n)
+            c, d = _coefficients(spectrum, hv, norms, traj.alpha)
+            yield CoefficientBlock(start, c, d)
+
+    def __iter__(self) -> Iterator[CoefficientSet]:
+        n = self._spectrum.dim
+        for block in self.blocks():
+            for j, c in enumerate(block.c):
+                d = np.zeros((n, n)) if block.d is None else block.d[j]
+                yield _coefficient_set(self._spectrum, c, d, block.start + j)
 
 
 def reference_coefficients(
     problem: "SaddleProblem",
     spectrum: Spectrum,
     traj: "RadialTrajectory",
-) -> Iterator[CoefficientSet]:
+) -> ReferenceCoefficients:
     """Coefficient sequence evaluated along a recorded reference trajectory.
 
     Step k uses the run's alpha, the recorded radius ||u_k|| and direction
@@ -257,17 +341,19 @@ def reference_coefficients(
     derivative along each saddle eigenvector is taken once per call, by a
     central difference with step fd_step(eps); H' is linear in its
     direction, so every step's H' is a combination of those n matrices.
+    Where all n vanish (quadratics, phase retrieval at the origin), every
+    transfer is zero and c_i = 1 - alpha * lam_i: each block is computed in
+    one pass and no (n, n) transfer is formed.
 
-    Returns a lazy iterator of one CoefficientSet per recorded point, steps
-    0 .. K.  The sets are computed _BLOCK steps at a time as they are drawn,
-    so a consumer that reads them one by one (eps_trajectory) holds about one
-    block of (n, n) transfer matrices, not all K + 1; wrap the call in
-    list(...) to index the sets.  Raises ZeroGap here, before any set is
-    drawn, when a cross-group gap vanishes.
+    Returns a lazy iterable of one CoefficientSet per recorded point, steps
+    0 .. K, computed _BLOCK steps at a time as they are drawn; wrap the
+    call in list(...) to index the sets.  eps_trajectory reads its blocks
+    instead (ReferenceCoefficients.blocks).  Raises ZeroGap here, before
+    any set is drawn, when a cross-group gap vanishes.
     """
     _ = spectrum.cross_gaps  # raises ZeroGap before any set is drawn
     w = _derivative_in_eigenbasis(problem, spectrum, traj.eps)
-    return _coefficient_stream(spectrum, w, traj)
+    return ReferenceCoefficients(spectrum, w, traj)
 
 
 # sample_family holds about four float64 copies of its (n_samples, n + n*n)

@@ -519,7 +519,9 @@ def _cmd_approx(config: ExperimentConfig, args) -> int:
         coeffs = approx.reference_coefficients(run.problem, run.spectrum, traj)
         stop = traj.norms.size - 1
         path = approx.eps_trajectory(run.projections, run.spectrum, coeffs, stop)
-        errs = np.linalg.norm(path - traj.radials, axis=1) / traj.norms
+        # a run that lands on the saddle has zero radii: 0 / 0 reads NaN, reported null
+        with np.errstate(divide="ignore", invalid="ignore"):
+            errs = np.linalg.norm(path - traj.radials, axis=1) / traj.norms
         runs.append(
             {
                 "run_id": run.run_id,

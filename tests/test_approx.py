@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from saddlesim import approx
 from saddlesim.approx import (
+    CoefficientSet,
     NoExitInFamily,
     ZeroGap,
     _step_rng,
@@ -300,6 +301,18 @@ class TestStreamedCoefficients:
         assert np.array_equal(got.d, d)
         assert got.step == 3
 
+    @given(flat_problems(), st.sampled_from([1e-2, 1e-4, 1e-6]))
+    @settings(max_examples=40, deadline=None)
+    def test_h_prime_is_exactly_zero_where_it_vanishes(self, problem, eps):
+        # the premise of the frozen-map blocks: no transfer, no (n, n) block
+        spec = problem.spectrum
+        assert not approx._derivative_in_eigenbasis(problem, spec, eps).any()
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_h_prime_is_nonzero_on_the_cubic(self, eps):
+        problem = cubic_test()
+        assert approx._derivative_in_eigenbasis(problem, problem.spectrum, eps).any()
+
     def test_differences_once_per_eigenvector(self):
         calls = []
         cubic = cubic_test()
@@ -342,6 +355,143 @@ class TestStreamedCoefficients:
             eps_trajectory(proj, spec, iter(sets[:3]), 5)
         with pytest.raises(ValueError, match=f"need 20 coefficient sets, got {len(sets)}"):
             eps_trajectory(proj, spec, reference_coefficients(problem, spec, traj), 20)
+
+
+def step_by_step_trajectory(projections, spectrum, coeffs, big_k):
+    """The per-step reference: the (n, n) recurrence at every step, one set at a time."""
+    n = spectrum.dim
+    dots = np.einsum("ji,ji->i", projections.signed_basis, spectrum.eigenvectors)
+    a0 = np.where(dots < 0, -1.0, 1.0) * theta_full(projections, spectrum)
+    v = spectrum.eigenvectors
+    path = np.empty((big_k + 1, n))
+    path[0] = projections.eps * (v @ a0)
+    p = np.ones(n)
+    b = np.zeros((n, n))
+    sets = iter(coeffs)
+    for k in range(big_k):
+        step = next(sets)
+        c = np.empty(n)
+        c[spectrum.stable_idx] = step.c_s
+        c[spectrum.unstable_idx] = step.c_us
+        b = b * c[None, :] + p[:, None] * step.d
+        p = p * c
+        path[k + 1] = projections.eps * (v @ (p * a0 + b @ a0))
+    return path
+
+
+def assert_same_path(proj, spec, sets, big_k):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = eps_trajectory(proj, spec, sets, big_k)
+        want = step_by_step_trajectory(proj, spec, list(sets), big_k)
+    assert np.array_equal(got, want, equal_nan=True)
+    return got
+
+
+def constant_sets(spec, h, u_norm, alpha, count):
+    return [coefficients_at(spec, h, u_norm, alpha, step=k) for k in range(count)]
+
+
+class TestBlockCore:
+    """eps_trajectory's block core against the step-by-step recurrence, bit for bit."""
+
+    @given(flat_problems(), run_params)
+    @settings(max_examples=40, deadline=None)
+    def test_where_h_prime_vanishes(self, problem, run):
+        eps, alpha_mode, theta_us_sq = run
+        spec, traj = reference_run(problem, eps, alpha_mode, theta_us_sq, k_max=300)
+        proj = project(traj.radials[0], spec, eps)
+        big_k = traj.norms.size - 1
+        got = eps_trajectory(proj, spec, reference_coefficients(problem, spec, traj), big_k)
+        # the per-step loop on the per-step coefficients is the whole former pipeline
+        want = step_by_step_trajectory(proj, spec, per_step_coefficients(problem, spec, traj), big_k)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @given(run_params)
+    @settings(max_examples=30, deadline=None)
+    def test_on_the_cubic(self, run):
+        eps, alpha_mode, theta_us_sq = run
+        problem = cubic_test()
+        spec, traj = reference_run(problem, eps, alpha_mode, theta_us_sq, k_max=300)
+        proj = project(traj.radials[0], spec, eps)
+        assert_same_path(proj, spec, reference_coefficients(problem, spec, traj), traj.norms.size - 1)
+
+    def test_big_k_zero(self):
+        problem = cubic_test()
+        spec, traj = reference_run(problem, 0.01, 0.1, 0.01, k_max=10)
+        proj = project(traj.radials[0], spec, 0.01)
+        for sets in (reference_coefficients(problem, spec, traj), [], iter([])):
+            path = assert_same_path(proj, spec, sets, 0)
+            assert path.shape == (1, 2)
+
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 200),
+        st.integers(0, 200),
+        st.floats(1e-3, 0.5),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_plain_list_of_sets(self, n, zero_steps, live_steps, alpha, seed):
+        # zero transfers first, then nonzero ones: the recurrence starts
+        # mid-stream, at a block boundary or inside a block
+        rng = np.random.default_rng(seed)
+        spec = decompose(np.diag(np.linspace(2.0, -1.5, n)))
+        h = rng.uniform(-1.0, 1.0, (n, n))
+        sets = constant_sets(spec, np.zeros((n, n)), 0.1, alpha, zero_steps) + [
+            coefficients_at(spec, h + h.T, 0.1, alpha, step=zero_steps + k) for k in range(live_steps)
+        ]
+        proj = project(sphere_point(spec, 0.1, 0.3), spec, 0.1)
+        assert_same_path(proj, spec, sets, len(sets))
+
+    @pytest.mark.parametrize("live", [False, True], ids=["zero-d", "nonzero-d"])
+    @pytest.mark.parametrize("lead", [0, 63, 100])
+    def test_overflow_turns_to_inf_then_nan(self, live, lead):
+        # c_us = 1e200: P overflows on the second such step, and the next
+        # step's P * d is inf * 0, NaN, from where every row stays NaN.  The
+        # eigenvectors are rotated, so an inf amplitude reaches every coordinate.
+        r = np.array([[0.8, -0.6], [0.6, 0.8]])
+        spec = decompose(r @ np.diag([1.0, -1.0]) @ r.T)
+        proj = project(sphere_point(spec, 0.1, 0.5), spec, 0.1)
+        t = 1e-3 if live else 0.0
+
+        def hand_set(c_s, c_us, step):
+            d = np.array([[0.0, t], [t, 0.0]])
+            return CoefficientSet(c_s=np.array([c_s]), c_us=np.array([c_us]), d=d, step=step)
+
+        sets = [hand_set(0.9, 1.1, k) for k in range(lead)]
+        sets += [hand_set(0.5, 1e200, lead + k) for k in range(6)]
+        path = assert_same_path(proj, spec, sets, len(sets))
+        assert np.all(np.isfinite(path[: lead + 2]))
+        assert not np.any(np.isfinite(path[lead + 2]))
+        if not live:
+            assert np.all(np.isinf(path[lead + 2]))
+        assert np.all(np.isnan(path[lead + 3 :]))
+
+    def test_a_nan_factor_turns_every_later_row_nan(self):
+        # what a step on the saddle gives: 0 / 0 directions, so NaN coefficients
+        spec = plain_spectrum()
+        proj = project(sphere_point(spec, 0.1, 0.5), spec, 0.1)
+        sets = constant_sets(spec, np.zeros((2, 2)), 0.1, 0.1, 70)
+        sets[66] = dataclasses.replace(sets[66], c_s=np.array([np.nan]))
+        path = assert_same_path(proj, spec, sets, len(sets))
+        assert np.all(np.isfinite(path[:67])) and np.all(np.isnan(path[67:]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_start_amplitude(self, bad):
+        # B @ a(0) is 0 * inf or 0 * NaN even while B is zero
+        spec = plain_spectrum()
+        proj = project(sphere_point(spec, 0.1, 0.5), spec, 0.1)
+        proj = dataclasses.replace(proj, theta_us=np.array([bad]))
+        path = assert_same_path(proj, spec, constant_sets(spec, np.zeros((2, 2)), 0.1, 0.1, 3), 3)
+        assert np.all(np.isnan(path[1:]))
+
+    def test_a_run_that_lands_on_the_saddle(self):
+        problem = quadratic_saddle([1.0, -1.0])
+        spec, traj = reference_run(problem, 0.1, 1.0, 0.0, k_max=5)
+        assert np.all(traj.norms[1:] == 0.0)
+        proj = project(traj.radials[0], spec, 0.1)
+        path = assert_same_path(proj, spec, reference_coefficients(problem, spec, traj), 5)
+        assert np.all(np.isnan(path[2:]))
 
 
 class TestSampleFamily:

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,24 @@ class TestMain:
         assert main(["approx", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["runs"][0]["max_rel_error"] < 1e-12
+
+    def test_approx_landing_on_the_saddle_is_quiet(self, tmp_path, capsys):
+        # alpha = 1 / L sends a purely stable start to the saddle in one step:
+        # later radii are zero, so the error is 0 / 0, reported null, with no warning
+        doc = dict(
+            BASE_DOC, alpha_mode=1.0, k_max=5,
+            inits=[{"label": "stable", "theta_us_sq": 0.0}],
+        )
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["approx", "--config", cfg]) == 0
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert err == ""
+        run = json.loads(out)["runs"][0]
+        assert run["max_rel_error"] is None
+        assert run["steps_compared"] == 5
 
     def test_bounds_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)

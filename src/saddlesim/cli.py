@@ -49,10 +49,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Parsed experiment description.
 
-    problem: {"kind": "quadratic", "lambdas": [...]} or {"kind": "cubic"} or
-    {"kind": "phase_retrieval", "n": int}.  alpha_mode scales the top step:
-    alpha = alpha_mode / L.  Each init carries a label plus either a
-    theta_us_sq mass or an explicit u0.
+    problem: {"kind": k} plus the field problems.KINDS[k].dim_field, if any.
+    alpha_mode scales the top step: alpha = alpha_mode / L.  Each init carries
+    a label plus either a theta_us_sq mass or an explicit u0.
     """
 
     problem: dict
@@ -97,42 +96,33 @@ def _number_list(value, field: str, kind=float) -> list:
     return [_number(v, field, kind) for v in value]
 
 
-def _problem_dim(prob: dict) -> int:
-    """Dimension of a parsed problem."""
-    if prob["kind"] == "quadratic":
-        return len(prob["lambdas"])
-    if prob["kind"] == "phase_retrieval":
-        return prob["n"]
-    return 2  # cubic
-
-
 def _parse_problem(prob) -> dict:
-    if not isinstance(prob, dict) or prob.get("kind") not in (
-        "quadratic",
-        "cubic",
-        "phase_retrieval",
-    ):
-        raise ConfigError("problem.kind must be quadratic, cubic or phase_retrieval")
-    kind = prob["kind"]
+    kind = prob.get("kind") if isinstance(prob, dict) else None
+    # only a string is looked up: a list or dict kind is unhashable
+    entry = problems.KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        *names, last = problems.KINDS
+        raise ConfigError(f"problem.kind must be {', '.join(names)} or {last}")
+    field = entry.dim_field
+    unknown = sorted(set(prob) - {"kind", field})
+    if unknown:
+        raise ConfigError(f"unknown problem field(s): {', '.join(unknown)}")
+    if field is not None and field not in prob:
+        raise ConfigError(f"{kind} problem needs {field}")
     parsed = {"kind": kind}
-    if kind == "quadratic":
-        if "lambdas" not in prob:
-            raise ConfigError("quadratic problem needs lambdas")
+    if field == "lambdas":
         lambdas = _number_list(prob["lambdas"], "problem.lambdas")
         if len(lambdas) < 2 or not all(math.isfinite(v) for v in lambdas):
             raise ConfigError("problem.lambdas must hold at least two finite numbers")
         parsed["lambdas"] = lambdas
-    if kind == "phase_retrieval":
-        if "n" not in prob:
-            raise ConfigError("phase_retrieval problem needs n")
+    if field == "n":
         n = _number(prob["n"], "problem.n", int)
         if n < 2:
             raise ConfigError("problem.n must be at least 2")
         parsed["n"] = n
-    dim = _problem_dim(parsed)
+    dim = entry.dim(parsed)
     if dim > problems.MAX_DIM:
-        field = "problem.lambdas" if kind == "quadratic" else "problem.n"
-        raise ConfigError(f"{field} gives dimension {dim}, above the cap {problems.MAX_DIM}")
+        raise ConfigError(f"problem.{field} gives dimension {dim}, above the cap {problems.MAX_DIM}")
     return parsed
 
 
@@ -226,16 +216,6 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _build_problem(config: ExperimentConfig, seed: int) -> problems.SaddleProblem:
-    kind = config.problem["kind"]
-    if kind == "quadratic":
-        return problems.quadratic_saddle(config.problem["lambdas"])
-    if kind == "cubic":
-        return problems.cubic_test()
-    n = config.problem["n"]
-    return problems.phase_retrieval(n, n, seed=seed)
-
-
 def _init_offset(
     entry: dict, spectrum: spectral.Spectrum, eps: float
 ) -> np.ndarray:
@@ -308,7 +288,7 @@ def _runs(config: ExperimentConfig) -> Iterator[Run]:
     off the eps-sphere is a ConfigError.
     """
     for seed in config.seeds:
-        problem = _build_problem(config, seed)
+        problem = problems.KINDS[config.problem["kind"]].build(config.problem, seed)
         spectrum = problem.spectrum
         constants = functools.cache(functools.partial(_estimate_constants, config, problem, seed))
         for entry in config.inits:
@@ -491,11 +471,8 @@ def emit(records: list[ExperimentRecord], format: str, out_dir: str, prefix: str
 
 def _cmd_validate(config: ExperimentConfig, args) -> int:
     seed = config.seeds[0]
-    if config.problem["kind"] == "quadratic":
-        # unchecked, so a quadratic without a sign change is reported, not refused
-        problem = problems._quadratic(config.problem["lambdas"])
-    else:
-        problem = _build_problem(config, seed)
+    kind = problems.KINDS[config.problem["kind"]]
+    problem = (kind.report or kind.build)(config.problem, seed)
     for entry in config.inits:
         _check_u0(entry, problem.dim, config.eps)
     report = problems.validate_assumptions(
@@ -536,7 +513,7 @@ def _cmd_approx(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_family(config: ExperimentConfig, args) -> int:
-    n = _problem_dim(config.problem)
+    n = problems.KINDS[config.problem["kind"]].dim(config.problem)
     floats = n + n * n  # per sample in a family step
     if config.n_samples * floats > approx.MAX_FAMILY_BLOCK:
         raise ConfigError(

@@ -3,7 +3,7 @@
 A problem bundles callables (value, gradient, hessian) with its saddle point.
 Three families are provided: pure quadratics, a two-dimensional quadratic with
 the minimal cubic coupling, and the symmetrized phase retrieval objective whose
-origin is a strict saddle.
+origin is a strict saddle.  KINDS maps each config problem kind to its factory.
 """
 
 from __future__ import annotations
@@ -174,24 +174,21 @@ def cubic_test() -> SaddleProblem:
     )
 
 
-def phase_retrieval(
-    m: int, n: int, seed: int = 0, a_matrix: np.ndarray | None = None
-) -> SaddleProblem:
-    """Phase retrieval objective f(x) = (1/4m) sum_j (<a_j,x>^2 - y_j)^2.
+def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -> SaddleProblem:
+    """Phase retrieval objective f(x) = (1/4m) sum_j (<a_j,x>^2 - y_j)^2, with m = n.
 
     Half the targets are +1 and half are -1, which makes the origin a critical
     point whose Hessian -(1/m) sum_j y_j a_j a_j^T generically has both signs.
     Sensing vectors a_j are i.i.d. standard normal rows drawn from the
     default_rng((seed, j)) stream of each row, so the instance is
-    bit-identical for a given (m, n, seed).  Pass a_matrix to inject
+    bit-identical for a given (n, seed).  Pass a_matrix to inject
     deterministic rows.
 
     Raises NotStrictSaddleAtZero when the sampled instance has a degenerate or
     sign-definite Hessian at the origin; callers should pick another seed
     rather than silently resampling.
     """
-    if m != n:
-        raise ValueError(f"m and n must match, got m={m}, n={n}")
+    m = n  # one measurement per dimension
     if a_matrix is not None:
         a = np.array(a_matrix, dtype=float)
         if a.shape != (m, n):
@@ -250,6 +247,32 @@ def phase_retrieval(
         dim=n, value=value, gradient=gradient, hessian=hessian,
         saddle=np.zeros(n), label=label, hessian_gap_sq=hessian_gap_sq,
     )
+
+
+@dataclass(frozen=True)
+class ProblemKind:
+    """A config problem kind.  dim_field is its entry's one other field, which
+    sets dim (None: no field); build makes the problem from the parsed entry and
+    a seed, and report, if set, makes the one validate describes instead."""
+
+    dim_field: str | None
+    dim: Callable[[dict], int]
+    build: Callable[[dict, int], SaddleProblem]
+    report: Callable[[dict, int], SaddleProblem] | None = None
+
+
+# The builders look their factory up when called, so a rebound one (a tracer's) is used.
+KINDS = {
+    "quadratic": ProblemKind(
+        "lambdas", lambda p: len(p["lambdas"]), lambda p, seed: quadratic_saddle(p["lambdas"]),
+        # unchecked, so a quadratic without a sign change is reported, not refused
+        lambda p, seed: _quadratic(p["lambdas"]),
+    ),
+    "cubic": ProblemKind(None, lambda p: 2, lambda p, seed: cubic_test()),
+    "phase_retrieval": ProblemKind(
+        "n", lambda p: p["n"], lambda p, seed: phase_retrieval(p["n"], seed=seed)
+    ),
+}
 
 
 def _ball_point(rng: np.random.Generator, dim: int, eps: float) -> np.ndarray:

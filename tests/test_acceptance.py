@@ -287,7 +287,7 @@ def test_c07_exit_step_bound_on_qualifying_runs():
     qualifying = 0
     ok = True
     for seed in range(10):
-        prob = phase_retrieval(20, 20, seed=seed)
+        prob = phase_retrieval(20, seed=seed)
         spec = ss.decompose(prob.hessian(prob.saddle))
         constants = estimate_constants(prob, eps, samples=500, seed=seed)
         alpha = 1.0 / constants.big_l
@@ -318,7 +318,7 @@ def test_c08_unstable_mass_orders_exits():
     eps = 0.05
     wins = {1.0: 0, 0.1: 0}
     for seed in range(10):
-        prob = phase_retrieval(20, 20, seed=seed)
+        prob = phase_retrieval(20, seed=seed)
         spec = ss.decompose(prob.hessian(prob.saddle))
         for mode in (1.0, 0.1):
             alpha = mode / spec.big_l
@@ -404,7 +404,7 @@ def test_c11_gradient_growth_invariant():
     cases = [
         (ss.quadratic_saddle([1.0, -1.0]), 0.1),
         (ss.cubic_test(), 0.1),
-        (phase_retrieval(20, 20, seed=0), 0.05),
+        (phase_retrieval(20, seed=0), 0.05),
     ]
     rows = []
     ok = True

@@ -229,7 +229,7 @@ def flat_problems(draw):
     if kind == "injected":
         a = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, n))
     try:
-        return phase_retrieval(n, n, seed=seed, a_matrix=a)
+        return phase_retrieval(n, seed=seed, a_matrix=a)
     except NotStrictSaddleAtZero:
         assume(False)
 
@@ -332,7 +332,7 @@ class TestStreamedCoefficients:
     def test_streams_in_bounded_memory(self):
         # n = 60, eps 1e-6: 4,240 steps whose (60, 60) transfer matrices
         # would take 122 MB if all were held at once
-        problem = phase_retrieval(60, 60, seed=0)
+        problem = phase_retrieval(60, seed=0)
         spec, traj = reference_run(problem, 1e-6, 0.002, 1e-6, k_max=None)
         assert traj.norms.size > 4000
         proj = project(traj.radials[0], spec, 1e-6)
@@ -600,7 +600,7 @@ class TestSampleFamily:
 
     def test_phase_retrieval_n60_draws_one_step(self, monkeypatch):
         # every sample exits at step 1, so a 4,000-step budget costs one draw
-        prob = phase_retrieval(60, 60, seed=0)
+        prob = phase_retrieval(60, seed=0)
         spec = prob.spectrum
         eps = 1e-6
         const = estimate_constants(prob, eps, samples=50, seed=0)

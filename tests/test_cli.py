@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import warnings
@@ -86,6 +87,12 @@ class TestParseConfig:
             {"estimate_samples": 10**14},
             {"n_samples": approx.MAX_FAMILY_SAMPLES + 1},
             {"estimate_samples": problems.MAX_ESTIMATE_SAMPLES + 1},
+            # a problem field the kind does not take
+            {"problem": {"kind": "cubic", "n": 60}},
+            {"problem": {"kind": "phase_retrieval", "n": 8, "m": 8}},
+            {"problem": {"kind": "phase_retrieval", "n": 8, "lambdas": [1.0, -1.0]}},
+            {"problem": {"kind": "quadratic", "lambdas": [1.0, -1.0], "lamdbas": [2.0]}},
+            {"problem": {"kind": "quadratic", "lamdbas": [1.0, -1.0]}},
         ],
     )
     def test_rejects_bad_fields(self, patch):
@@ -436,6 +443,70 @@ class TestMain:
         for line, seed in zip(lines, doc["seeds"]):
             assert line.startswith("warning: eps = 0.05 exceeds the validity radius eps_max = ")
             assert line.endswith(f" for phase_retrieval(m=8, n=8, seed={seed})")
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ({"kind": "cubic", "n": 60}, "unknown problem field(s): n"),
+            ({"kind": "phase_retrieval", "n": 8, "seed": 1, "m": 8},
+             "unknown problem field(s): m, seed"),
+            ({"kind": ["quadratic"], "lambdas": [1.0, -1.0]}, "problem.kind must be"),
+            ({"kind": {}, "lambdas": [1.0, -1.0]}, "problem.kind must be"),
+            ({"kind": None, "lambdas": [1.0, -1.0]}, "problem.kind must be"),
+            ({"lambdas": [1.0, -1.0]}, "problem.kind must be"),
+        ],
+    )
+    def test_bad_problem_exits_2_with_one_line(self, tmp_path, capsys, problem, message):
+        cfg = write_config(tmp_path, dict(BASE_DOC, problem=problem))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "problem, factory",
+        [
+            ({"kind": "quadratic", "lambdas": [1.0, 0.5, -0.5, -2.0]}, "quadratic_saddle"),
+            ({"kind": "cubic"}, "cubic_test"),
+            ({"kind": "phase_retrieval", "n": 8}, "phase_retrieval"),
+        ],
+    )
+    def test_a_rebound_factory_builds_every_seed(self, tmp_path, capsys, monkeypatch, problem, factory):
+        """A wrapper bound to problems.<factory> is called once per seed, and the
+        problem it returns, with counting callables put in by dataclasses.replace,
+        is the one the run uses: the artifacts match an unwrapped run byte for byte."""
+        doc = dict(BASE_DOC, problem=problem, seeds=[0, 1], k_max=50, estimate_samples=50,
+                   inits=[{"label": "a", "theta_us_sq": 0.5}, {"label": "b", "theta_us_sq": 0.2}])
+        cfg = write_config(tmp_path, doc)
+
+        def artifacts(out):
+            assert main(["simulate", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        plain = artifacts(tmp_path / "plain")
+        calls = {"build": 0, "value": 0, "gradient": 0, "hessian": 0}
+
+        def counting(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        original = getattr(problems, factory)
+
+        def wrapped_factory(*args, **kwargs):
+            calls["build"] += 1
+            built = original(*args, **kwargs)
+            return dataclasses.replace(
+                built, **{a: counting(getattr(built, a), a) for a in ("value", "gradient", "hessian")}
+            )
+
+        monkeypatch.setattr(problems, factory, wrapped_factory)
+        assert artifacts(tmp_path / "wrapped") == plain
+        assert calls["build"] == len(doc["seeds"])
+        assert calls["gradient"] > 0 and calls["hessian"] > 0
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)

@@ -94,25 +94,21 @@ class TestCubic:
 
 class TestPhaseRetrieval:
     def test_injected_rows_give_known_hessian(self):
-        prob = phase_retrieval(2, 2, a_matrix=np.eye(2))
+        prob = phase_retrieval(2, a_matrix=np.eye(2))
         assert_allclose(prob.hessian(np.zeros(2)), np.diag([-0.5, 0.5]))
         assert_allclose(prob.gradient(np.zeros(2)), [0.0, 0.0])
 
-    def test_square_only(self):
-        with pytest.raises(ValueError):
-            phase_retrieval(4, 6)
-
     def test_seeded_instances_are_identical(self):
-        p1 = phase_retrieval(6, 6, seed=3)
-        p2 = phase_retrieval(6, 6, seed=3)
+        p1 = phase_retrieval(6, seed=3)
+        p2 = phase_retrieval(6, seed=3)
         x = np.random.default_rng(0).standard_normal(6) * 0.01
         assert np.array_equal(p1.hessian(x), p2.hessian(x))
         assert np.array_equal(p1.gradient(x), p2.gradient(x))
-        p3 = phase_retrieval(6, 6, seed=4)
+        p3 = phase_retrieval(6, seed=4)
         assert not np.array_equal(p1.hessian(x), p3.hessian(x))
 
     def test_zero_is_strict_saddle(self):
-        prob = phase_retrieval(10, 10, seed=0)
+        prob = phase_retrieval(10, seed=0)
         h0 = prob.hessian(prob.saddle)
         lam = np.linalg.eigvalsh(h0)
         assert lam.min() < 0 < lam.max()
@@ -121,7 +117,7 @@ class TestPhaseRetrieval:
         # both rows equal, so the positive and negative halves cancel at zero
         a = np.array([[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NotStrictSaddleAtZero):
-            phase_retrieval(2, 2, a_matrix=a)
+            phase_retrieval(2, a_matrix=a)
 
 
 class TestConstantsValidation:
@@ -167,7 +163,7 @@ class TestDerivativeConsistency:
     def test_phase_retrieval_hessian_is_flat_at_the_origin(self):
         # H(x) - H(0) = (3/m) A^T diag((Ax)^2) A is even in x, so the
         # central difference of the Hessian at the saddle is exactly zero
-        prob = phase_retrieval(20, 20, seed=0)
+        prob = phase_retrieval(20, seed=0)
         u = np.random.default_rng(4).standard_normal(20)
         assert not np.any(directional_hessian_derivative(prob, u, h=1e-6))
 
@@ -315,10 +311,10 @@ def screened_problems(draw):
         return quadratic_saddle(lam)
     try:
         if kind == "phase_retrieval":
-            return phase_retrieval(n, n, seed=draw(st.integers(0, 20)))
+            return phase_retrieval(n, seed=draw(st.integers(0, 20)))
         # one decimal per entry, so rows and products repeat
         rows = np.random.default_rng(draw(st.integers(0, 1000))).standard_normal((n, n))
-        return phase_retrieval(n, n, a_matrix=np.round(rows, 1))
+        return phase_retrieval(n, a_matrix=np.round(rows, 1))
     except NotStrictSaddleAtZero:
         assume(False)
 
@@ -339,7 +335,7 @@ class TestScreenedEstimate:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n, eps", [(20, 0.05), (60, 1e-6)])
     def test_matches_the_reference_at_the_default_pairs(self, n, eps, seed):
-        problem = phase_retrieval(n, n, seed=seed)
+        problem = phase_retrieval(n, seed=seed)
         estimate = estimate_constants(problem, eps, seed=seed)
         assert estimate.big_m == reference_big_m(problem, eps, 10_000, seed)
 
@@ -358,9 +354,9 @@ class TestScreenedEstimate:
             (quadratic_saddle([2.0, -1.0, -1.0]), 0.1),
             (cubic_test(), 0.05),
             (cubic_test(), 1e-8),
-            (phase_retrieval(20, 20, seed=0), 0.05),
-            (phase_retrieval(60, 60, seed=1), 1e-6),
-            (phase_retrieval(9, 9, seed=2), 1e-8),
+            (phase_retrieval(20, seed=0), 0.05),
+            (phase_retrieval(60, seed=1), 1e-6),
+            (phase_retrieval(9, seed=2), 1e-8),
         ],
         ids=["quadratic", "cubic", "cubic-tiny-eps", "pr-n20", "pr-n60", "pr-tiny-eps"],
     )
@@ -376,7 +372,7 @@ class TestScreenedEstimate:
             assert_allclose(screen, computed, rtol=1e-9)
 
     def test_an_overstated_pair_is_rechecked_not_trusted(self):
-        base = phase_retrieval(8, 8, seed=1)
+        base = phase_retrieval(8, seed=1)
         screen = base.hessian_gap_sq
 
         def overstated(x, y):
@@ -394,14 +390,14 @@ class TestScreenedEstimate:
         assert len(calls) == 4  # pair 0 first, then the true maximum
 
     def test_a_problem_without_a_screen_checks_every_pair(self):
-        problem, calls = counting_hessian(unscreened(phase_retrieval(8, 8, seed=1)))
+        problem, calls = counting_hessian(unscreened(phase_retrieval(8, seed=1)))
         expected = reference_big_m(problem, 0.1, 500, seed=4)
         calls.clear()
         assert estimate_constants(problem, 0.1, samples=500, seed=4).big_m == expected
         assert len(calls) == 1000
 
     def test_phase_retrieval_rechecks_a_handful_of_pairs(self):
-        problem, calls = counting_hessian(phase_retrieval(20, 20, seed=0))
+        problem, calls = counting_hessian(phase_retrieval(20, seed=0))
         estimate_constants(problem, 0.05, samples=10_000, seed=0)
         assert 2 <= len(calls) <= 10
 
@@ -413,7 +409,7 @@ class TestScreenedEstimate:
     def test_memory_stays_within_a_few_blocks(self):
         # screening all 10,000 pairs at once would hold about 30 MB of points
         # and products at n=60
-        problem = phase_retrieval(60, 60, seed=0)
+        problem = phase_retrieval(60, seed=0)
         problem.spectrum
         tracemalloc.start()
         try:

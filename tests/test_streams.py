@@ -75,6 +75,6 @@ class TestGuard:
         problem = dataclasses.replace(problems.cubic_test(), hessian_gap_sq=None)
         monkeypatch.setattr(streams, "_MULT_A", streams._MULT_A + 2)
         with pytest.raises(StreamMismatch):
-            problems.phase_retrieval(6, 6, seed=0)
+            problems.phase_retrieval(6, seed=0)
         with pytest.raises(StreamMismatch):
             problems.validate_assumptions(problem, 0.01, samples=10, estimate_samples=10)

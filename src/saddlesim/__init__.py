@@ -47,6 +47,7 @@ from .problems import (
     estimate_constants,
     phase_retrieval,
     quadratic_saddle,
+    sample_big_m,
     validate_assumptions,
 )
 from .simulate import (
@@ -107,6 +108,7 @@ __all__ = [
     "quadratic_saddle",
     "reference_coefficients",
     "rs_corrections",
+    "sample_big_m",
     "sample_family",
     "theta_full",
     "validate_assumptions",

@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -281,31 +282,60 @@ def _estimate_constants(
     return constants
 
 
-def _runs(config: ExperimentConfig) -> Iterator[Run]:
-    """Yield every (seed, init) start in config order, decomposing each seed once.
+def _seed_runs(config: ExperimentConfig, seed: int) -> list[Run]:
+    """Every start of one seed in config order, from one build and decomposition.
 
-    Starts are checked before any command work: a u0 of the wrong length or
-    off the eps-sphere is a ConfigError.
+    A u0 of the wrong length or off the eps-sphere is a ConfigError.  The
+    constants stay lazy, estimated at the seed's first call, so the eps_max
+    warnings come in seed order as each seed is reached.
     """
+    problem = problems.KINDS[config.problem["kind"]].build(config.problem, seed)
+    spectrum = problem.spectrum
+    constants = functools.cache(functools.partial(_estimate_constants, config, problem, seed))
+    runs = []
+    for entry in config.inits:
+        _check_u0(entry, problem.dim, config.eps)
+        u0 = _init_offset(entry, spectrum, config.eps)
+        projections = spectral.project(u0, spectrum, config.eps)
+        runs.append(Run(
+            seed=seed,
+            entry=entry,
+            problem=problem,
+            spectrum=spectrum,
+            u0=u0,
+            projections=projections,
+            alpha=config.alpha_mode / spectrum.big_l,
+            run_id=f"s{seed}-{entry['label']}",
+            constants=constants,
+        ))
+    return runs
+
+
+# _runs keeps the checked runs of the first seeds, up to this many bytes of
+# their problems, for its second pass.  A seed's problem and decomposition
+# hold about 3.3 (n, n) float64 arrays (phase retrieval, by tracemalloc at
+# n = 512); _SEED_ARRAYS is counted.
+_KEPT_BYTES = 1 << 28
+_SEED_ARRAYS = 4
+
+
+def _runs(config: ExperimentConfig) -> Iterator[Run]:
+    """Yield every (seed, init) start in config order.
+
+    Every seed is built, decomposed and its starts checked before the first
+    start is yielded, so a seed that is not a strict saddle, or a bad u0,
+    fails before any command work.  The first seeds' runs are kept from that
+    check, as many as fit in _KEPT_BYTES (at least one); a later seed is
+    dropped and built and decomposed again when it is reached, so memory
+    does not grow with the number of seeds.
+    """
+    n = problems.KINDS[config.problem["kind"]].dim(config.problem)
+    keep = max(1, _KEPT_BYTES // (_SEED_ARRAYS * 8 * n * n))
+    kept = deque(_seed_runs(config, seed) for seed in config.seeds[:keep])
+    for seed in config.seeds[keep:]:
+        _seed_runs(config, seed)
     for seed in config.seeds:
-        problem = problems.KINDS[config.problem["kind"]].build(config.problem, seed)
-        spectrum = problem.spectrum
-        constants = functools.cache(functools.partial(_estimate_constants, config, problem, seed))
-        for entry in config.inits:
-            _check_u0(entry, problem.dim, config.eps)
-            u0 = _init_offset(entry, spectrum, config.eps)
-            projections = spectral.project(u0, spectrum, config.eps)
-            yield Run(
-                seed=seed,
-                entry=entry,
-                problem=problem,
-                spectrum=spectrum,
-                u0=u0,
-                projections=projections,
-                alpha=config.alpha_mode / spectrum.big_l,
-                run_id=f"s{seed}-{entry['label']}",
-                constants=constants,
-            )
+        yield from kept.popleft() if kept else _seed_runs(config, seed)
 
 
 def _jsonable(obj):
@@ -551,6 +581,7 @@ def _cmd_family(config: ExperimentConfig, args) -> int:
                 "sup_exit": fam.sup_exit,
                 "n_samples": fam.n_samples,
                 "k_max": fam.k_max,
+                "constants": asdict(constants),
             }
         )
     out = Path(args.out or ".")

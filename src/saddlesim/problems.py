@@ -4,13 +4,16 @@ A problem bundles callables (value, gradient, hessian) with its saddle point.
 Three families are provided: pure quadratics, a two-dimensional quadratic with
 the minimal cubic coupling, and the symmetrized phase retrieval objective whose
 origin is a strict saddle.  KINDS maps each config problem kind to its factory.
+Each factory also gives its problem's Hessian Lipschitz constant M in closed
+form, so estimate_constants samples point pairs only for a hand-built problem;
+sample_big_m, the sampler, stays as validate's cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,10 +33,10 @@ class NotStrictSaddleAtZero(ValueError):
 
 # unit roundoff of float64: one rounding moves a value by at most this share
 _U = np.finfo(float).eps / 2
-# point pairs drawn and screened together by estimate_constants; larger
-# blocks are no faster and raise peak memory
+# point pairs drawn and screened together by sample_big_m; larger blocks are
+# no faster and raise peak memory
 _SCREEN_BLOCK = 64
-# estimate_constants holds 41 bytes per pair: its ratio bound (8), the
+# sample_big_m holds 41 bytes per pair: its ratio bound (8), the
 # stream's seed words (32) and a NaN mask (1).  A config may ask for at most
 # 1 GiB of them, far fewer than the 2**32 streams a key's last word names.
 _PAIR_BYTES = 41
@@ -57,8 +60,14 @@ class SaddleProblem:
     (P, dim) and returns, for each p, an upper bound on
     ||hessian(X[p]) - hessian(Y[p])||_F^2 as those floating-point
     evaluations and their difference produce it: the closed form plus an
-    allowance for the rounding of both.  estimate_constants screens its
-    point pairs with it; None sends every pair to the scalar evaluation.
+    allowance for the rounding of both.  sample_big_m screens its point
+    pairs with it; None sends every pair to the scalar evaluation.
+
+    big_m, when given, maps eps to a pair (M, source): a Hessian Lipschitz
+    constant M on the eps-ball around saddle, in the Frobenius norm, and how
+    it was obtained, "exact" (the supremum itself) or "certified" (an upper
+    bound, rounding included).  estimate_constants takes it; None makes
+    estimate_constants sample point pairs instead.
     """
 
     dim: int
@@ -68,6 +77,7 @@ class SaddleProblem:
     saddle: np.ndarray
     label: str
     hessian_gap_sq: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    big_m: Callable[[float], tuple[float, str]] | None = None
 
     @cached_property
     def spectrum(self) -> spectral.Spectrum:
@@ -86,7 +96,10 @@ class ProblemConstants:
     big_l: largest |eigenvalue| of the saddle Hessian.
     beta: smallest |eigenvalue|.
     delta: smallest inter-group eigenvalue gap.
-    big_m: Hessian Lipschitz constant (estimated or exact).
+    big_m: Hessian Lipschitz constant on the eps-ball, in the Frobenius norm.
+    big_m_source: how big_m was obtained: "exact", "certified" (an upper
+        bound) or "sampled:N" (the largest ratio over N point pairs, an
+        estimate that can fall below the supremum).
     eps_max: largest radius at which the first-order eigenvalue model is valid.
     """
 
@@ -94,6 +107,7 @@ class ProblemConstants:
     beta: float
     delta: float
     big_m: float
+    big_m_source: str
     eps_max: float
 
     def __post_init__(self):
@@ -101,6 +115,9 @@ class ProblemConstants:
             raise ValueError(f"need 0 < beta <= big_l, got beta={self.beta}, big_l={self.big_l}")
         if self.big_m < 0:
             raise ValueError("big_m must be nonnegative")
+        source = self.big_m_source
+        if source not in ("exact", "certified") and not source.startswith("sampled:"):
+            raise ValueError(f"big_m_source must be exact, certified or sampled:N, got {source!r}")
         if not self.eps_max > 0:
             raise ValueError("eps_max must be positive")
 
@@ -133,6 +150,7 @@ def _quadratic(lambdas) -> SaddleProblem:
         label=f"quadratic_saddle({lam.tolist()})",
         # every evaluation returns the same matrix, so each difference is exactly zero
         hessian_gap_sq=lambda x, y: np.zeros(len(x)),
+        big_m=lambda eps: (0.0, "exact"),
     )
 
 
@@ -171,6 +189,9 @@ def cubic_test() -> SaddleProblem:
         saddle=np.zeros(2),
         label="cubic_test",
         hessian_gap_sq=hessian_gap_sq,
+        # H(x) - H(y) = [[2 d1, 2 d0], [2 d0, 0]] with d = x - y, whose norm
+        # is at most 2 sqrt(2) ||d||, with equality along d1 = 0
+        big_m=lambda eps: (2.0 * math.sqrt(2.0), "exact"),
     )
 
 
@@ -183,6 +204,10 @@ def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -
     default_rng((seed, j)) stream of each row, so the instance is
     bit-identical for a given (n, seed).  Pass a_matrix to inject
     deterministic rows.
+
+    Its big_m is certified: (6 eps / m) lam_max(G o G) with G = A A^T,
+    where an upper bound on lam_max, rounding included, is proved by a
+    Cholesky factorization.
 
     Raises NotStrictSaddleAtZero when the sampled instance has a degenerate or
     sign-definite Hessian at the origin; callers should pick another seed
@@ -235,6 +260,45 @@ def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -
         eval_err = _U / m * (2 * (m + 4) * sum_r + (6 * n + 3 * m + 20) * xx * sum_r2)
         return ((np.sqrt(closed + form_err) + w_err + eval_err) * (1.0 + 8.0 * _U)) ** 2
 
+    # H(x) - H(z) = (3/m) sum_j (a_j . d)(a_j . s) a_j a_j^T with d = x - z and
+    # s = x + z.  The rows a_j (x) a_j have Gram matrix G o G, so
+    # ||H(x) - H(z)||_F^2 <= (9/m^2) lam_max(G o G) sum_j (a_j . d)^2 (a_j . s)^2
+    # <= (9/m^2) lam_max(G o G)^2 ||d||^2 ||s||^2, and ||s|| <= 2 eps on the ball.
+    @cache
+    def gram_sq_top():
+        # An upper bound on lam_max(G o G), computed once per problem on the
+        # first call: approx never needs it.  eigvalsh only proposes t, just
+        # above its top eigenvalue; the bound is proved by a Cholesky
+        # factorization of C = fl(t I - gram_sq).  If it runs to completion,
+        # its factor R has R^T R = C + dC with |dC| <= g |R^T| |R| and
+        # g = (m + 1) u / (1 - (m + 1) u), for any symmetric C and any order
+        # of the sums (Higham, Accuracy and Stability of Numerical Algorithms,
+        # 2nd ed., Thm 10.3; Rump, BIT 46 (2006) 433-452).  So
+        # ||dC||_2 <= g ||R||_F^2 <= g tr(C) / (1 - g), and as t - gram_sq_jj
+        # rounds by at most u C_jj / (1 - u), t I - gram_sq is at least
+        # -(g tr(C) / (1 - g) + u max C_jj / (1 - u)) I.  Should the
+        # factorization fail, the largest row sum of the nonnegative gram_sq
+        # bounds lam_max instead.
+        top = float(np.linalg.eigvalsh(gram_sq)[-1])
+        t = top * (1.0 + 2 * (m + 2) ** 2 * _U)
+        c = -gram_sq
+        c[np.diag_indices(m)] += t
+        try:
+            np.linalg.cholesky(c)
+        except np.linalg.LinAlgError:
+            bound = float(gram_sq.sum(axis=1).max()) * (1.0 + 2 * m * _U)
+        else:
+            g = (m + 1) * _U / (1.0 - (m + 1) * _U)
+            diag = np.diagonal(c)
+            bound = t + (g * float(diag.sum()) * (1.0 + 2 * m * _U) / (1.0 - g)
+                         + 2 * _U * float(diag.max()))
+        # gram_sq is off from G o G entrywise by at most (2n + 4) u r_j r_k
+        # (r_j = ||a_j||^2): a matrix of Frobenius norm (2n + 4) u sum_r2
+        return (bound + (2 * n + 4) * _U * sum_r2) * (1.0 + 4.0 * _U)
+
+    def big_m(eps):
+        return float(6.0 * eps / m * gram_sq_top() * (1.0 + 4.0 * _U)), "certified"
+
     h0 = hessian(np.zeros(n))
     lam0 = np.linalg.eigvalsh(h0)
     scale = np.max(np.abs(lam0))
@@ -246,6 +310,7 @@ def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -
     return SaddleProblem(
         dim=n, value=value, gradient=gradient, hessian=hessian,
         saddle=np.zeros(n), label=label, hessian_gap_sq=hessian_gap_sq,
+        big_m=big_m,
     )
 
 
@@ -310,7 +375,7 @@ def _pair_points(
 
 
 def _screened_ratios(problem: SaddleProblem, eps: float, samples: int, seed: int) -> np.ndarray:
-    """An upper bound on the ratio estimate_constants computes for each pair.
+    """An upper bound on the ratio sample_big_m computes for each pair.
 
     +inf for every pair when the problem has no hessian_gap_sq, and for any
     pair whose bound is not a number.
@@ -334,18 +399,17 @@ def _screened_ratios(problem: SaddleProblem, eps: float, samples: int, seed: int
     return bounds
 
 
-def estimate_constants(
+def sample_big_m(
     problem: SaddleProblem, eps: float, samples: int = 10_000, seed: int = 0
-) -> ProblemConstants:
-    """Estimate the escape constants of a problem inside the eps-ball.
+) -> float:
+    """The largest ||H(x) - H(y)||_F / ||x - y|| over `samples` random point
+    pairs in the eps-ball around the saddle.
 
-    big_l, beta and delta come from the exact Hessian at the saddle.  The
-    Hessian Lipschitz constant is the max of ||H(x) - H(y)||_F / ||x - y||
-    over `samples` random point pairs in the ball.  The Frobenius norm bounds
-    the operator norm from above, but a sampled maximum can fall below the
-    supremum over the ball, so big_m is an estimate, not a bound.
-    eps_max is the validity radius of the first-order eigenvalue model at the
-    step size 1/big_l, the most restrictive admissible choice.
+    The Frobenius norm bounds the operator norm from above, but a sampled
+    maximum can fall below the supremum over the ball, so this is an
+    estimate of M, not a bound.  estimate_constants uses it only for a
+    problem without a closed-form big_m; validate_assumptions runs it as a
+    cross-check of the closed form.
 
     Each pair i is drawn from an independent generator keyed by
     (seed, 0, i), so the estimate does not depend on evaluation order.
@@ -357,12 +421,11 @@ def estimate_constants(
     Hessian.  Pairs are then rechecked in descending order of that bound,
     each redrawn from its generator and its ratio computed with two
     `hessian` calls, until the next bound is no larger than the best ratio
-    found.  No pair left unchecked can exceed it, so big_m is the maximum
-    over all pairs, bit for bit.  Equal bounds are rechecked in index order,
-    so a problem without a screen has every pair rechecked, in the order of
-    a plain loop.
+    found.  No pair left unchecked can exceed it, so the result is the
+    maximum over all pairs, bit for bit.  Equal bounds are rechecked in
+    index order, so a problem without a screen has every pair rechecked, in
+    the order of a plain loop.
     """
-    spectrum = problem.spectrum
     bounds = _screened_ratios(problem, eps, samples, seed)
     big_m = 0.0
     # argmax rather than a full sort: few pairs are rechecked, and a sort's
@@ -381,6 +444,26 @@ def estimate_constants(
         ratio = np.linalg.norm(problem.hessian(x) - problem.hessian(y)) / gap
         if ratio > big_m:
             big_m = float(ratio)
+    return big_m
+
+
+def estimate_constants(
+    problem: SaddleProblem, eps: float, samples: int = 10_000, seed: int = 0
+) -> ProblemConstants:
+    """The escape constants of a problem inside the eps-ball.
+
+    big_l, beta and delta come from the exact Hessian at the saddle.  The
+    Hessian Lipschitz constant is the problem's closed-form big_m(eps),
+    exact or certified.  A problem without one (built by hand) gets
+    sample_big_m over `samples` pairs from `seed`, labelled "sampled:N".
+    eps_max is the validity radius of the first-order eigenvalue model at
+    the step size 1/big_l, the most restrictive admissible choice.
+    """
+    spectrum = problem.spectrum
+    if problem.big_m is not None:
+        big_m, source = problem.big_m(eps)
+    else:
+        big_m, source = sample_big_m(problem, eps, samples, seed), f"sampled:{samples}"
     eps_max = eps_validity_bounds(
         spectrum.big_l, big_m, problem.dim, spectrum.delta, alpha=1.0 / spectrum.big_l
     )
@@ -389,6 +472,7 @@ def estimate_constants(
         beta=spectrum.beta,
         delta=spectrum.delta,
         big_m=big_m,
+        big_m_source=source,
         eps_max=eps_max,
     )
 
@@ -407,7 +491,11 @@ def validate_assumptions(
     beta >= delta/2, and the gradient growth bound
     ||grad f(x)|| <= big_l * ||x - x*|| * (1 + 10 * M * eps / big_l)
     over `samples` points of the eps-ball (each from generator (seed, 1, i)).
-    The constants come from estimate_constants with `estimate_samples` pairs.
+    The constants come from estimate_constants.  As a cross-check of their
+    big_m, sample_big_m takes `estimate_samples` pairs from `seed`:
+    sampled_big_m is that maximum, and big_m_ge_sampled says whether big_m
+    is at least as large (for a problem without a closed form, big_m is that
+    same sample and nothing is drawn twice).
     A saddle that is not a symmetric strict Morse saddle (one whose Hessian
     has no positive or no negative eigenvalue is not strict) gets a report
     with the same keys: the constants and every check built on them are null, and
@@ -442,6 +530,8 @@ def validate_assumptions(
     if not report["is_strict_saddle"]:
         for key in (
             "constants",
+            "sampled_big_m",
+            "big_m_ge_sampled",
             "beta_ge_half_delta",
             "hessian_symmetric_at_samples",
             "max_gradient_growth",
@@ -453,6 +543,12 @@ def validate_assumptions(
 
     constants = estimate_constants(problem, eps, samples=estimate_samples, seed=seed)
     report["constants"] = asdict(constants)
+    sampled = (
+        constants.big_m if problem.big_m is None
+        else sample_big_m(problem, eps, samples=estimate_samples, seed=seed)
+    )
+    report["sampled_big_m"] = sampled
+    report["big_m_ge_sampled"] = bool(sampled <= constants.big_m)
     report["beta_ge_half_delta"] = bool(constants.beta >= constants.delta / 2.0)
 
     allowed = 1.0 + 10.0 * constants.big_m * eps / constants.big_l

@@ -512,7 +512,7 @@ class TestBoundaryConditionCheck:
         u0 = eps * np.array([np.sqrt(0.5), np.sqrt(0.5)])
         self.proj = project(u0, spec, eps)
         self.constants = ProblemConstants(
-            big_l=1.0, beta=1.0, delta=2.0, big_m=0.5, eps_max=1.0
+            big_l=1.0, beta=1.0, delta=2.0, big_m=0.5, big_m_source="exact", eps_max=1.0
         )
 
     def test_report_fields(self):

@@ -1,14 +1,16 @@
 import dataclasses
+import gc
 import json
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlesim import approx, problems, spectral
+from saddlesim import approx, cli, problems, spectral
 from saddlesim.cli import (
     ConfigError,
     emit,
@@ -346,6 +348,37 @@ class TestMain:
         bounds = json.loads((out / "demo_bounds.json").read_text())
         assert validate["constants"] == bounds["runs"][0]["constants"]
 
+    @pytest.mark.parametrize(
+        "problem, source",
+        [
+            ({"kind": "quadratic", "lambdas": [1.0, -1.0]}, "exact"),
+            ({"kind": "cubic"}, "exact"),
+            ({"kind": "phase_retrieval", "n": 8}, "certified"),
+        ],
+    )
+    def test_every_summary_says_where_big_m_came_from(self, tmp_path, capsys, problem, source):
+        doc = dict(BASE_DOC, problem=problem, eps=1e-3, k_max=50, n_samples=5, seeds=[0, 1])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in ("simulate", "family", "bounds"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        for name in ("demo_summary.json", "demo_family.json", "demo_bounds.json"):
+            runs = json.loads((out / name).read_text())["runs"]
+            assert len(runs) == 2
+            assert all(run["constants"]["big_m_source"] == source for run in runs)
+
+    @pytest.mark.parametrize(
+        "problem, eps",
+        [({"kind": "cubic"}, 0.1), ({"kind": "phase_retrieval", "n": 60}, 1e-6)],
+    )
+    def test_validate_cross_checks_big_m(self, tmp_path, capsys, problem, eps):
+        cfg = write_config(tmp_path, dict(BASE_DOC, problem=problem, eps=eps))
+        assert main(["validate", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["constants"]["big_m_source"] in ("exact", "certified")
+        assert 0 < report["sampled_big_m"] <= report["constants"]["big_m"]
+        assert report["big_m_ge_sampled"] is True
+
     def test_seed_override(self, tmp_path, capsys):
         doc = dict(BASE_DOC)
         doc["problem"] = {"kind": "phase_retrieval", "n": 6}
@@ -508,6 +541,38 @@ class TestMain:
         assert calls["build"] == len(doc["seeds"])
         assert calls["gradient"] > 0 and calls["hessian"] > 0
 
+    @pytest.mark.parametrize("problem", [{"kind": "cubic"}, {"kind": "phase_retrieval", "n": 8}])
+    def test_seeds_past_the_memory_budget_are_built_again(self, monkeypatch, problem):
+        """With room for two seeds' problems, no more than two are ever alive,
+        a run sees its own, and each seed past the first two is built twice:
+        checked, then built again when reached.  Memory does not grow with the
+        number of seeds."""
+        doc = dict(BASE_DOC, problem=problem, eps=1e-3, seeds=[0, 1, 2, 4, 5],
+                   inits=[{"label": "a", "theta_us_sq": 0.5}, {"label": "b", "theta_us_sq": 0.2}])
+        config = parse_config(doc)
+        kind = problems.KINDS[problem["kind"]]
+        monkeypatch.setattr(cli, "_KEPT_BYTES", 2 * cli._SEED_ARRAYS * 8 * kind.dim(problem) ** 2)
+        built = []
+
+        def alive():
+            gc.collect()
+            return [p for p in (ref() for ref in built) if p is not None]
+
+        def build(entry, seed):
+            assert len(alive()) <= 2
+            made = kind.build(entry, seed)
+            built.append(weakref.ref(made))
+            return made
+
+        kinds = dict(problems.KINDS, **{problem["kind"]: dataclasses.replace(kind, build=build)})
+        monkeypatch.setattr(problems, "KINDS", kinds)
+        seen = []
+        for run in cli._runs(config):
+            assert len(alive()) <= 2 and any(p is run.problem for p in alive())
+            seen.append(run.run_id)
+        assert seen == [f"s{s}-{e}" for s in doc["seeds"] for e in ("a", "b")]
+        assert len(built) == 2 * len(doc["seeds"]) - 2
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)
         assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
@@ -547,6 +612,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("numerical failure: ") and message in err
+
+    @pytest.mark.parametrize("command", ["simulate", "family", "bounds"])
+    def test_a_later_seed_that_is_not_a_saddle_fails_first(self, tmp_path, capsys, command):
+        # seed 0 alone would warn that eps exceeds eps_max; seed 3 is not a
+        # strict saddle, and fails before seed 0's constants are estimated
+        doc = dict(BASE_DOC, problem={"kind": "phase_retrieval", "n": 8}, eps=0.05,
+                   seeds=[0, 3], k_max=50, n_samples=5)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: ") and "seed=3" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flag, value, field",

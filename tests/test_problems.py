@@ -20,6 +20,7 @@ from saddlesim.problems import (
     estimate_constants,
     phase_retrieval,
     quadratic_saddle,
+    sample_big_m,
     validate_assumptions,
 )
 from saddlesim.spectral import decompose
@@ -82,10 +83,9 @@ class TestCubic:
         # the Hessian is linear in x, so the Frobenius-norm Lipschitz constant
         # is exactly sup_d ||H'(d)||_F = 2 sqrt(2)
         prob = cubic_test()
-        constants = estimate_constants(prob, 0.1, samples=2000)
-        assert 2.6 <= constants.big_m <= 2.0 * np.sqrt(2.0)
-        repeat = estimate_constants(prob, 0.1, samples=2000)
-        assert repeat.big_m == constants.big_m
+        sampled = sample_big_m(prob, 0.1, samples=2000)
+        assert 2.6 <= sampled <= 2.0 * np.sqrt(2.0)
+        assert sample_big_m(prob, 0.1, samples=2000) == sampled
 
     def test_eps_max_positive_and_finite(self):
         constants = estimate_constants(cubic_test(), 0.1, samples=500)
@@ -123,15 +123,28 @@ class TestPhaseRetrieval:
 class TestConstantsValidation:
     def test_beta_cannot_exceed_big_l(self):
         with pytest.raises(ValueError):
-            ProblemConstants(big_l=1.0, beta=2.0, delta=1.0, big_m=0.0, eps_max=1.0)
+            ProblemConstants(
+                big_l=1.0, beta=2.0, delta=1.0, big_m=0.0, big_m_source="exact", eps_max=1.0
+            )
 
     def test_negative_lipschitz_rejected(self):
         with pytest.raises(ValueError):
-            ProblemConstants(big_l=1.0, beta=1.0, delta=1.0, big_m=-0.5, eps_max=1.0)
+            ProblemConstants(
+                big_l=1.0, beta=1.0, delta=1.0, big_m=-0.5, big_m_source="exact", eps_max=1.0
+            )
 
     def test_eps_max_must_be_positive(self):
         with pytest.raises(ValueError):
-            ProblemConstants(big_l=1.0, beta=1.0, delta=1.0, big_m=0.0, eps_max=0.0)
+            ProblemConstants(
+                big_l=1.0, beta=1.0, delta=1.0, big_m=0.0, big_m_source="exact", eps_max=0.0
+            )
+
+    @pytest.mark.parametrize("source", ["estimated", "sampled", ""])
+    def test_big_m_source_must_be_named(self, source):
+        with pytest.raises(ValueError, match="big_m_source"):
+            ProblemConstants(
+                big_l=1.0, beta=1.0, delta=1.0, big_m=0.0, big_m_source=source, eps_max=1.0
+            )
 
 
 class TestDerivativeConsistency:
@@ -329,15 +342,15 @@ class TestScreenedEstimate:
     @settings(max_examples=120, deadline=None)
     def test_matches_the_reference_bit_for_bit(self, problem, log_eps, samples, seed):
         eps = 10.0**log_eps
-        estimate = estimate_constants(problem, eps, samples=samples, seed=seed)
-        assert estimate.big_m == reference_big_m(problem, eps, samples, seed)
+        estimate = sample_big_m(problem, eps, samples=samples, seed=seed)
+        assert estimate == reference_big_m(problem, eps, samples, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n, eps", [(20, 0.05), (60, 1e-6)])
     def test_matches_the_reference_at_the_default_pairs(self, n, eps, seed):
         problem = phase_retrieval(n, seed=seed)
-        estimate = estimate_constants(problem, eps, seed=seed)
-        assert estimate.big_m == reference_big_m(problem, eps, 10_000, seed)
+        estimate = sample_big_m(problem, eps, seed=seed)
+        assert estimate == reference_big_m(problem, eps, 10_000, seed)
 
     @pytest.mark.parametrize("dim, eps, start", [(2, 1e-4, 0), (7, 0.3, 250), (60, 1e-6, 511)])
     def test_block_points_are_the_ball_points(self, dim, eps, start):
@@ -386,24 +399,24 @@ class TestScreenedEstimate:
         problem, calls = counting_hessian(dataclasses.replace(base, hessian_gap_sq=overstated))
         expected = reference_big_m(base, 0.1, 500, seed=4)
         assert reference_big_m(base, 0.1, 1, seed=4) < expected  # pair 0 is not the max
-        assert estimate_constants(problem, 0.1, samples=500, seed=4).big_m == expected
+        assert sample_big_m(problem, 0.1, samples=500, seed=4) == expected
         assert len(calls) == 4  # pair 0 first, then the true maximum
 
     def test_a_problem_without_a_screen_checks_every_pair(self):
         problem, calls = counting_hessian(unscreened(phase_retrieval(8, seed=1)))
         expected = reference_big_m(problem, 0.1, 500, seed=4)
         calls.clear()
-        assert estimate_constants(problem, 0.1, samples=500, seed=4).big_m == expected
+        assert sample_big_m(problem, 0.1, samples=500, seed=4) == expected
         assert len(calls) == 1000
 
     def test_phase_retrieval_rechecks_a_handful_of_pairs(self):
         problem, calls = counting_hessian(phase_retrieval(20, seed=0))
-        estimate_constants(problem, 0.05, samples=10_000, seed=0)
+        sample_big_m(problem, 0.05, samples=10_000, seed=0)
         assert 2 <= len(calls) <= 10
 
     def test_a_quadratic_evaluates_no_hessian(self):
         problem, calls = counting_hessian(quadratic_saddle([1.0, 1.0, -2.0]))
-        assert estimate_constants(problem, 0.1, samples=10_000).big_m == 0.0
+        assert sample_big_m(problem, 0.1, samples=10_000) == 0.0
         assert calls == []
 
     def test_memory_stays_within_a_few_blocks(self):
@@ -413,8 +426,67 @@ class TestScreenedEstimate:
         problem.spectrum
         tracemalloc.start()
         try:
-            estimate_constants(problem, 1e-6, samples=10_000)
+            sample_big_m(problem, 1e-6, samples=10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+class TestClosedFormBigM:
+    @pytest.mark.parametrize("eps", [1e-6, 0.1])
+    def test_quadratic_and_cubic_are_exact(self, eps):
+        quadratic = estimate_constants(quadratic_saddle([2.0, -1.0, 0.5]), eps)
+        assert (quadratic.big_m, quadratic.big_m_source) == (0.0, "exact")
+        cubic = estimate_constants(cubic_test(), eps)
+        assert (cubic.big_m, cubic.big_m_source) == (2 * np.sqrt(2), "exact")
+
+    def test_phase_retrieval_is_certified_and_linear_in_eps(self):
+        problem = phase_retrieval(20, seed=0)
+        constants = estimate_constants(problem, 0.05)
+        assert constants.big_m_source == "certified"
+        assert problem.big_m(0.1)[0] == pytest.approx(2 * problem.big_m(0.05)[0], rel=1e-15)
+        # the sensing rows, from their (seed, j) streams
+        a = np.stack([np.random.default_rng((0, j)).standard_normal(20) for j in range(20)])
+        top = np.linalg.eigvalsh((a @ a.T) ** 2)[-1]
+        assert constants.big_m == pytest.approx(6 * 0.05 / 20 * top, rel=1e-9)
+        assert constants.big_m >= 6 * 0.05 / 20 * top
+
+    def test_phase_retrieval_falls_back_to_row_sums_without_a_certificate(self, monkeypatch):
+        def no_factor(c):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        big_m, source = phase_retrieval(20, seed=0).big_m(0.05)
+        a = np.stack([np.random.default_rng((0, j)).standard_normal(20) for j in range(20)])
+        gram_sq = (a @ a.T) ** 2
+        assert source == "certified"
+        assert big_m == pytest.approx(6 * 0.05 / 20 * gram_sq.sum(axis=1).max(), rel=1e-9)
+        assert big_m > 6 * 0.05 / 20 * np.linalg.eigvalsh(gram_sq)[-1]
+
+    def test_a_hand_built_problem_is_sampled_and_labelled(self):
+        problem = unscreened(cubic_test())
+        constants = estimate_constants(problem, 0.1, samples=300, seed=2)
+        assert constants.big_m_source == "sampled:300"
+        assert constants.big_m == sample_big_m(problem, 0.1, samples=300, seed=2)
+
+    def test_estimate_constants_evaluates_no_hessian_off_the_saddle(self):
+        for problem in (cubic_test(), phase_retrieval(12, seed=1)):
+            counted, calls = counting_hessian(problem)
+            estimate_constants(counted, 1e-3)
+            assert calls == []
+
+    @given(problem=screened_problems(), log_eps=st.floats(-6.0, np.log10(0.2)),
+           seed=st.integers(0, 50))
+    @settings(max_examples=150, deadline=None)
+    def test_never_below_a_sampled_ratio(self, problem, log_eps, seed):
+        eps = 10.0**log_eps
+        sampled = sample_big_m(problem, eps, samples=200, seed=seed)
+        assert sampled <= estimate_constants(problem, eps).big_m
+
+    def test_validate_cross_checks_the_closed_form(self):
+        for problem, eps in ((cubic_test(), 1e-4), (phase_retrieval(12, seed=1), 1e-6)):
+            report = validate_assumptions(problem, eps, samples=10, estimate_samples=500)
+            assert report["sampled_big_m"] == sample_big_m(problem, eps, samples=500)
+            assert 0 < report["sampled_big_m"] <= report["constants"]["big_m"]
+            assert report["big_m_ge_sampled"] is True

@@ -67,11 +67,11 @@ class TestGuard:
         problem = problems.cubic_test()
         monkeypatch.setattr(streams, "_INIT_A", streams._INIT_A + 1)
         with pytest.raises(StreamMismatch):
-            problems.estimate_constants(problem, 0.01, samples=100)
+            problems.sample_big_m(problem, 0.01, samples=100)
 
     def test_every_plain_key_site_is_guarded(self, monkeypatch):
-        # without a screen, estimate_constants derives no streams, so the
-        # guard that fires is validate's own (seed, 1, i) one
+        # without a screen, sample_big_m derives no streams, so the guard
+        # that fires is validate's own (seed, 1, i) one
         problem = dataclasses.replace(problems.cubic_test(), hessian_gap_sq=None)
         monkeypatch.setattr(streams, "_MULT_A", streams._MULT_A + 2)
         with pytest.raises(StreamMismatch):

@@ -9,7 +9,8 @@ Subcommands:
     phase-retrieval  escape runs on phase retrieval across seeds, no config file
 
 One JSON config document describes an experiment; no environment variables.
-Exit codes: 0 success, 2 configuration or I/O error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or I/O error (a run record past its
+memory budget included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -443,6 +444,31 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
+def _csv_rows(r: ExperimentRecord) -> Iterator[str]:
+    """r's rows of _runs.csv, as csv.writer writes them.
+
+    Each row is run_id, seed, init_label, the step k, the reprs of step k's
+    radial norm and stable and unstable projection sums, and whether the
+    run has exited by step k.
+    """
+    # io is loaded at interpreter start; importing it here leaves the
+    # module's own imports, and so the CLI's start-up, as they were
+    import io
+
+    line = io.StringIO()
+    csv.writer(line).writerow([r.run_id, r.seed, r.init_label])
+    # the three shared fields, quoted once; every other field is a digit
+    # string, a float repr or a bool, which csv never quotes
+    head = line.getvalue()[: -len("\r\n")]
+    first = r.first_exit_k if r.first_exit_k is not None else r.norms.size
+    return (
+        f"{head},{k},{norm!r},{stable!r},{unstable!r},{k >= first}\r\n"
+        for k, (norm, stable, unstable) in enumerate(
+            zip(r.norms.tolist(), r.stable_proj_sq.tolist(), r.unstable_proj_sq.tolist())
+        )
+    )
+
+
 def emit(records: list[ExperimentRecord], format: str, out_dir: str, prefix: str | None = None) -> list[Path]:
     """Write experiment artifacts; returns the paths written.
 
@@ -467,34 +493,9 @@ def emit(records: list[ExperimentRecord], format: str, out_dir: str, prefix: str
     if format == "csv":
         csv_path = out / f"{prefix}_runs.csv"
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "run_id",
-                    "seed",
-                    "init_label",
-                    "k",
-                    "radial_norm",
-                    "stable_proj_sq",
-                    "unstable_proj_sq",
-                    "exited",
-                ]
-            )
+            fh.write("run_id,seed,init_label,k,radial_norm,stable_proj_sq,unstable_proj_sq,exited\r\n")
             for r in records:
-                for k in range(r.norms.size):
-                    exited = r.first_exit_k is not None and k >= r.first_exit_k
-                    writer.writerow(
-                        [
-                            r.run_id,
-                            r.seed,
-                            r.init_label,
-                            k,
-                            repr(float(r.norms[k])),
-                            repr(float(r.stable_proj_sq[k])),
-                            repr(float(r.unstable_proj_sq[k])),
-                            exited,
-                        ]
-                    )
+                fh.writelines(_csv_rows(r))
         written.append(csv_path)
     return written
 
@@ -694,7 +695,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed must be nonnegative")
             config = replace(config, seeds=(args.seed,))
         return args.fn(config, args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, simulate.RecordTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

@@ -22,6 +22,16 @@ class NoExit(ValueError):
     """Trajectory never left the eps-ball within its budget."""
 
 
+class RecordTooLarge(ValueError):
+    """A run's record would outgrow _RECORD_BYTES before it exits or its budget ends."""
+
+
+# gd_run's record of radials may hold at most this many bytes, the same 1 GiB
+# budget as problems.MAX_DIM; its block starts at _FIRST_ROWS rows and doubles
+_RECORD_BYTES = 1 << 30
+_FIRST_ROWS = 64
+
+
 @dataclass(frozen=True)
 class RadialTrajectory:
     """Recorded radial history of one run.
@@ -54,6 +64,21 @@ def default_k_max(eps: float, alpha: float, beta: float) -> int:
     return 10 * math.ceil(math.log(1.0 / eps) / math.log1p(alpha * beta))
 
 
+def _record_block(needed: int, wanted: int, n: int) -> np.ndarray:
+    """An empty (rows, n) block: wanted rows, fewer if _RECORD_BYTES binds.
+
+    Raises RecordTooLarge, before allocating, when even the needed rows
+    would exceed _RECORD_BYTES.
+    """
+    max_rows = _RECORD_BYTES // (8 * n)
+    if needed > max_rows:
+        raise RecordTooLarge(
+            f"a run at n = {n} would record more than {_RECORD_BYTES} bytes of radials; "
+            f"set k_max to at most {max_rows - 1}"
+        )
+    return np.empty((min(wanted, max_rows), n))
+
+
 def gd_run(
     problem: "SaddleProblem",
     u0: np.ndarray,
@@ -67,6 +92,11 @@ def gd_run(
     saddle Hessian.  Stops at the first radius strictly above eps (that point
     is recorded and becomes exit_index) or after k_max steps.  The default
     budget is 10 * ceil(log(1/eps) / log(1 + alpha * beta)).
+
+    The radials fill a block that starts at 64 rows (or k_max + 1) and
+    doubles, so past 64 rows it holds at most twice the recorded rows.  A
+    record that would need more than _RECORD_BYTES raises RecordTooLarge
+    before the block grows past it.
     """
     spectrum = problem.spectrum
     if not (0 < alpha <= (1.0 + 1e-12) / spectrum.big_l):
@@ -76,22 +106,28 @@ def gd_run(
     if k_max is None:
         k_max = default_k_max(eps, alpha, spectrum.beta)
     u0 = np.asarray(u0, dtype=float)
+    radials = _record_block(1, min(_FIRST_ROWS, k_max + 1), u0.size)
+    radials[0] = u0
+    # the norm of a contiguous 1-d row, as np.linalg.norm computes it
+    norms = [math.sqrt(radials[0].dot(radials[0]))]
     x = problem.saddle + u0
-    radials = [u0.copy()]
-    norms = [float(np.linalg.norm(u0))]
     exit_index = None
     for k in range(1, k_max + 1):
+        if k == radials.shape[0]:
+            grown = _record_block(k + 1, min(2 * k, k_max + 1), u0.size)
+            grown[:k] = radials
+            radials = grown
         x = x - alpha * problem.gradient(x)
-        u = x - problem.saddle
-        radials.append(u)
-        norms.append(float(np.linalg.norm(u)))
+        u = radials[k]
+        np.subtract(x, problem.saddle, out=u)
+        norms.append(math.sqrt(u.dot(u)))
         if norms[-1] > eps:
             exit_index = k
             break
     return RadialTrajectory(
         eps=float(eps),
         alpha=float(alpha),
-        radials=np.array(radials),
+        radials=radials[: len(norms)],
         exit_index=exit_index,
         norms=np.array(norms),
         budget=k_max,

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gc
+import io
 import json
 import tempfile
 import warnings
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlesim import approx, cli, problems, spectral
+from saddlesim import approx, cli, problems, simulate, spectral
 from saddlesim.cli import (
     ConfigError,
+    ExperimentRecord,
     emit,
     load_config,
     main,
@@ -208,6 +211,31 @@ class TestRunExperiment:
         np.testing.assert_allclose(np.sqrt(total), rec.norms, rtol=1e-12)
 
 
+def oracle_runs_csv(records) -> bytes:
+    """_runs.csv as emit wrote it row by row through csv.writer."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(
+        ["run_id", "seed", "init_label", "k", "radial_norm", "stable_proj_sq", "unstable_proj_sq", "exited"]
+    )
+    for r in records:
+        for k in range(r.norms.size):
+            exited = r.first_exit_k is not None and k >= r.first_exit_k
+            writer.writerow(
+                [
+                    r.run_id,
+                    r.seed,
+                    r.init_label,
+                    k,
+                    repr(float(r.norms[k])),
+                    repr(float(r.stable_proj_sq[k])),
+                    repr(float(r.unstable_proj_sq[k])),
+                    exited,
+                ]
+            )
+    return text.getvalue().encode()
+
+
 class TestEmit:
     def test_csv_has_one_row_per_step(self, tmp_path):
         records = run_experiment(parse_config(BASE_DOC))
@@ -237,6 +265,44 @@ class TestEmit:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_runs_csv_matches_the_row_writer(self, tmp_path):
+        # labels csv must quote; a purely stable start never exits
+        inits = [{"label": label, "theta_us_sq": 0.00998} for label in ("plain", "a,b", 'say "hi"', "two\nlines")]
+        inits.append({"label": "stays", "theta_us_sq": 0.0})
+        doc = dict(BASE_DOC, seeds=[0, 3], k_max=40, inits=inits)
+        records = run_experiment(parse_config(doc))
+        assert [r.first_exit_k for r in records].count(None) == 2
+        emit(records, "csv", str(tmp_path), "demo")
+        assert (tmp_path / "demo_runs.csv").read_bytes() == oracle_runs_csv(records)
+
+    @given(
+        labels=st.lists(st.text(max_size=6), min_size=1, max_size=3),
+        values=st.lists(st.floats(), min_size=3, max_size=12),
+        first_exit_k=st.none() | st.integers(0, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_runs_csv_matches_the_row_writer_on_any_label_and_float(self, labels, values, first_exit_k):
+        rows = len(values) // 3
+        cols = np.array(values[: 3 * rows]).reshape(3, rows)
+        records = [
+            ExperimentRecord(
+                run_id=f"s{seed}-{label}",
+                seed=seed,
+                init_label=label,
+                theta_us_sq=0.5,
+                norms=cols[0],
+                stable_proj_sq=cols[1],
+                unstable_proj_sq=cols[2],
+                first_exit_k=first_exit_k,
+                summary={},
+            )
+            for seed, label in enumerate(labels)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            emit(records, "csv", tmp, "demo")
+            with open(f"{tmp}/demo_runs.csv", "rb") as fh:
+                assert fh.read() == oracle_runs_csv(records)
 
     def test_rejects_empty_and_unknown_formats(self, tmp_path):
         records = run_experiment(parse_config(BASE_DOC))
@@ -572,6 +638,20 @@ class TestMain:
             seen.append(run.run_id)
         assert seen == [f"s{s}-{e}" for s in doc["seeds"] for e in ("a", "b")]
         assert len(built) == 2 * len(doc["seeds"]) - 2
+
+    @pytest.mark.parametrize("argv", [["simulate", "--format", "csv"], ["approx"]])
+    def test_a_record_past_its_memory_budget_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # 1,000 rows of two floats; a purely stable start never exits
+        monkeypatch.setattr(simulate, "_RECORD_BYTES", 1000 * 2 * 8)
+        doc = dict(BASE_DOC, k_max=5000, inits=[{"label": "stable", "theta_us_sq": 0.0}])
+        out = tmp_path / "out"
+        assert main([*argv, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "set k_max to at most 999" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)

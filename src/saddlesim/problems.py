@@ -6,7 +6,9 @@ the minimal cubic coupling, and the symmetrized phase retrieval objective whose
 origin is a strict saddle.  KINDS maps each config problem kind to its factory.
 Each factory also gives its problem's Hessian Lipschitz constant M in closed
 form, so estimate_constants samples point pairs only for a hand-built problem;
-sample_big_m, the sampler, stays as validate's cross-check.
+sample_big_m, the sampler, stays as validate's cross-check.  Every random draw
+comes from np.random.default_rng of a plain key: (seed, j) for sensing row j,
+(seed, 0, i) for point pair i and (seed, 1, i) for validate's point i.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import spectral, streams
+from . import spectral
 from .perturb import eps_validity_bounds
 from .spectral import NoNegativeEigenvalue, NotMorse, NotSymmetric, SingleGroup
 
@@ -36,11 +38,10 @@ _U = np.finfo(float).eps / 2
 # point pairs drawn and screened together by sample_big_m; larger blocks are
 # no faster and raise peak memory
 _SCREEN_BLOCK = 64
-# sample_big_m holds 41 bytes per pair: its ratio bound (8), the
-# stream's seed words (32) and a NaN mask (1).  A config may ask for at most
-# 1 GiB of them, far fewer than the 2**32 streams a key's last word names.
-_PAIR_BYTES = 41
-MAX_ESTIMATE_SAMPLES = (1 << 30) // _PAIR_BYTES
+# sample_big_m holds 9 bytes per pair (its ratio bound and a NaN mask) and
+# spends about 25 us building each pair's generator and drawing from it at
+# dim <= 60.  At this cap that is 236 MB and over 11 minutes.
+MAX_ESTIMATE_SAMPLES = 26_188_824
 # A problem's build and its saddle decomposition hold about eight (n, n)
 # float64 arrays (8.3 to 9.3 by peak RSS at n = 2,048, under bounds and
 # validate).  A config may ask for 1 GiB of them: n <= 4,096.
@@ -221,8 +222,8 @@ def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -
         label = f"phase_retrieval(m={m}, n={n}, injected)"
     else:
         a = np.empty((m, n))
-        for j, rng in enumerate(streams.generators(streams.plain_key_words((seed,), 0, m))):
-            a[j] = rng.standard_normal(n)
+        for j in range(m):
+            a[j] = np.random.default_rng((seed, j)).standard_normal(n)
         label = f"phase_retrieval(m={m}, n={n}, seed={seed})"
     y = np.where(np.arange(m) < m // 2, 1.0, -1.0)
 
@@ -347,31 +348,17 @@ def _ball_point(rng: np.random.Generator, dim: int, eps: float) -> np.ndarray:
     return r * d
 
 
-def _pair_points(
-    problem: SaddleProblem, eps: float, seed: int, start: int, stop: int,
-    words: np.ndarray | None = None,
-) -> np.ndarray:
+def _pair_points(problem: SaddleProblem, eps: float, seed: int, start: int, stop: int) -> np.ndarray:
     """Pairs start..stop-1 as a (2, stop - start, dim) stack of x and y.
 
-    Each pair draws from its (seed, 0, i) stream in _ball_point's order and is
-    normalized and scaled the same way (np.linalg.norm of a vector is
-    sqrt(d.dot(d)), and uniform() is 0.0 + 1.0 * random()), so the points are
-    bit for bit the ones _ball_point gives.  words, when given, holds the
-    streams' seed words for start..stop-1 (streams.plain_key_words).
+    Pair i draws x and then y from its own default_rng((seed, 0, i)).
     """
-    if words is None:
-        words = streams.plain_key_words((seed, 0), start, stop)
-    dim = problem.dim
-    dirs = np.empty((2, stop - start, dim))
-    sq = np.empty((2, stop - start))
-    radii = np.empty((2, stop - start))
-    for row, rng in enumerate(streams.generators(words)):
-        for side in (0, 1):
-            d = rng.standard_normal(dim)
-            dirs[side, row] = d
-            sq[side, row] = d.dot(d)
-            radii[side, row] = eps * rng.random() ** (1.0 / dim)
-    return problem.saddle + radii[..., None] * (dirs / np.sqrt(sq)[..., None])
+    points = np.empty((2, stop - start, problem.dim))
+    for row, i in enumerate(range(start, stop)):
+        rng = np.random.default_rng((seed, 0, i))
+        points[0, row] = _ball_point(rng, problem.dim, eps)
+        points[1, row] = _ball_point(rng, problem.dim, eps)
+    return problem.saddle + points
 
 
 def _screened_ratios(problem: SaddleProblem, eps: float, samples: int, seed: int) -> np.ndarray:
@@ -388,10 +375,9 @@ def _screened_ratios(problem: SaddleProblem, eps: float, samples: int, seed: int
     # sums dim^2 squares, its gap (like the one here) sums dim, and a root
     # and a division follow.
     slack = 1.0 + (dim * dim + 4 * dim + 16) * _U
-    words = streams.plain_key_words((seed, 0), 0, samples)
     for start in range(0, samples, _SCREEN_BLOCK):
         stop = min(start + _SCREEN_BLOCK, samples)
-        x, y = _pair_points(problem, eps, seed, start, stop, words[start:stop])
+        x, y = _pair_points(problem, eps, seed, start, stop)
         gap = np.sqrt(np.einsum("pi,pi->p", x - y, x - y))
         with np.errstate(divide="ignore", invalid="ignore"):
             bounds[start:stop] = np.sqrt(problem.hessian_gap_sq(x, y)) / gap * slack
@@ -412,9 +398,8 @@ def sample_big_m(
     cross-check of the closed form.
 
     Each pair i is drawn from an independent generator keyed by
-    (seed, 0, i), so the estimate does not depend on evaluation order.
-    The screen derives all those streams in one pass (streams.py); the
-    recheck builds each one with default_rng, as the reference.
+    (seed, 0, i), so the estimate does not depend on evaluation order,
+    and the screen and the recheck draw the same points (_pair_points).
 
     The pairs are first screened in blocks: problem.hessian_gap_sq bounds
     each pair's ratio from above, rounding included, without evaluating a
@@ -435,9 +420,7 @@ def sample_big_m(
         if not bounds[i] > big_m:
             break
         bounds[i] = -np.inf
-        rng = np.random.default_rng((seed, 0, i))
-        x = problem.saddle + _ball_point(rng, problem.dim, eps)
-        y = problem.saddle + _ball_point(rng, problem.dim, eps)
+        x, y = _pair_points(problem, eps, seed, i, i + 1)[:, 0]
         gap = np.linalg.norm(x - y)
         if gap < 1e-12 * eps:
             continue
@@ -554,7 +537,8 @@ def validate_assumptions(
     allowed = 1.0 + 10.0 * constants.big_m * eps / constants.big_l
     worst = 0.0
     sym_ok = True
-    for i, rng in enumerate(streams.generators(streams.plain_key_words((seed, 1), 0, samples))):
+    for i in range(samples):
+        rng = np.random.default_rng((seed, 1, i))
         d = rng.standard_normal(problem.dim)
         d /= np.linalg.norm(d)
         r = eps * rng.uniform(1e-6, 1.0)

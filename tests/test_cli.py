@@ -135,7 +135,7 @@ class TestParseConfig:
         doc = dict(BASE_DOC, n_samples=approx.MAX_FAMILY_SAMPLES,
                    estimate_samples=problems.MAX_ESTIMATE_SAMPLES)
         config = parse_config(doc)
-        assert config.estimate_samples < 2**32  # a stream index is one 32-bit word
+        assert config.estimate_samples < 2**32  # pair keys (seed, 0, i) end in one 32-bit word
         assert config.n_samples == approx.MAX_FAMILY_SAMPLES
 
     @pytest.mark.parametrize(

@@ -26,6 +26,10 @@ from saddlesim.problems import (
 from saddlesim.spectral import decompose
 
 
+# seeds of one, two and three 32-bit words; a config may carry any nonnegative seed
+WORD_SEEDS = [0, 2**32, 2**64 + 5]
+
+
 def central_diff_gradient(problem, x, h):
     g = np.empty(problem.dim)
     for i in range(problem.dim):
@@ -106,6 +110,14 @@ class TestPhaseRetrieval:
         assert np.array_equal(p1.gradient(x), p2.gradient(x))
         p3 = phase_retrieval(6, seed=4)
         assert not np.array_equal(p1.hessian(x), p3.hessian(x))
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    def test_sensing_rows_are_default_rng_rows(self, seed):
+        rows = np.stack([np.random.default_rng((seed, j)).standard_normal(8) for j in range(8)])
+        seeded, injected = phase_retrieval(8, seed=seed), phase_retrieval(8, a_matrix=rows)
+        x = np.random.default_rng(0).standard_normal(8) * 0.01
+        assert np.array_equal(seeded.hessian(x), injected.hessian(x))
+        assert np.array_equal(seeded.gradient(x), injected.gradient(x))
 
     def test_zero_is_strict_saddle(self):
         prob = phase_retrieval(10, seed=0)
@@ -213,6 +225,20 @@ class TestValidateAssumptions:
         report = validate_assumptions(quadratic_saddle([1.0, -1.0]), 0.1, samples=200)
         assert report["gradient_growth_ok"]
         assert report["max_gradient_growth"] == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    def test_growth_points_are_default_rng_points(self, seed):
+        problem, eps = phase_retrieval(8, seed=1), 0.05
+        report = validate_assumptions(problem, eps, samples=50, seed=seed, estimate_samples=10)
+        big_l = report["constants"]["big_l"]
+        worst = 0.0
+        for i in range(50):
+            rng = np.random.default_rng((seed, 1, i))
+            d = rng.standard_normal(8)
+            d /= np.linalg.norm(d)
+            r = eps * rng.uniform(1e-6, 1.0)
+            worst = max(worst, float(np.linalg.norm(problem.gradient(r * d)) / (big_l * r)))
+        assert report["max_gradient_growth"] == worst
 
     def test_degenerate_problem_reported_not_raised(self):
         h = np.diag([1.0, 0.0, -1.0])
@@ -337,7 +363,7 @@ class TestScreenedEstimate:
         problem=screened_problems(),
         log_eps=st.floats(-8.0, 0.0),
         samples=st.integers(1, 700),
-        seed=st.integers(0, 20),
+        seed=st.one_of(st.integers(0, 20), st.just(2**32)),
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_the_reference_bit_for_bit(self, problem, log_eps, samples, seed):
@@ -345,7 +371,7 @@ class TestScreenedEstimate:
         estimate = sample_big_m(problem, eps, samples=samples, seed=seed)
         assert estimate == reference_big_m(problem, eps, samples, seed)
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2**32])
     @pytest.mark.parametrize("n, eps", [(20, 0.05), (60, 1e-6)])
     def test_matches_the_reference_at_the_default_pairs(self, n, eps, seed):
         problem = phase_retrieval(n, seed=seed)

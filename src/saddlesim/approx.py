@@ -174,12 +174,6 @@ def coefficient_intervals(
     )
 
 
-def _basis_parity(projections: Projections, spectrum: Spectrum) -> np.ndarray:
-    # signed_basis columns are +-1 times the spectrum columns; recover the signs.
-    dots = np.einsum("ji,ji->i", projections.signed_basis, spectrum.eigenvectors)
-    return np.where(dots < 0, -1.0, 1.0)
-
-
 # Steps whose coefficients are computed and consumed together: larger blocks
 # are no faster and hold more (n, n) transfer matrices at once.
 _BLOCK = 64
@@ -230,7 +224,7 @@ def eps_trajectory(
     if big_k < 0:
         raise ValueError("big_k must be nonnegative")
     n = spectrum.dim
-    a0 = _basis_parity(projections, spectrum) * theta_full(projections, spectrum)
+    a0 = projections.signs * theta_full(projections, spectrum)
     v = spectrum.eigenvectors
     eps = projections.eps
     if isinstance(coeffs, ReferenceCoefficients):
@@ -284,6 +278,12 @@ def _derivative_in_eigenbasis(problem: "SaddleProblem", spectrum: Spectrum, eps:
     for j in range(n):
         w[:, j] = (v.T @ directional_hessian_derivative(problem, v[:, j], h=h) @ v).ravel()
     return w
+
+
+# The approx command refuses a problem whose (n^2, n) float64 table W of
+# _derivative_in_eigenbasis would pass 1 GiB, the budget of the other caps:
+# n at most 512.
+MAX_DERIVATIVE_BYTES = 1 << 30
 
 
 class ReferenceCoefficients:

@@ -315,7 +315,8 @@ def _seed_runs(config: ExperimentConfig, seed: int) -> list[Run]:
 # _runs keeps the checked runs of the first seeds, up to this many bytes of
 # their problems, for its second pass.  A seed's problem and decomposition
 # hold about 3.3 (n, n) float64 arrays (phase retrieval, by tracemalloc at
-# n = 512); _SEED_ARRAYS is counted.
+# n = 512); _SEED_ARRAYS is counted.  Only seeds are counted: a start adds a
+# few length-n vectors (its Projections and u0) and no (n, n) array.
 _KEPT_BYTES = 1 << 28
 _SEED_ARRAYS = 4
 
@@ -521,6 +522,14 @@ def _cmd_simulate(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_approx(config: ExperimentConfig, args) -> int:
+    n = problems.KINDS[config.problem["kind"]].dim(config.problem)
+    if 8 * n**3 > approx.MAX_DERIVATIVE_BYTES:
+        largest = round((approx.MAX_DERIVATIVE_BYTES / 8) ** (1 / 3))
+        largest -= 8 * largest**3 > approx.MAX_DERIVATIVE_BYTES
+        raise ConfigError(
+            f"approx needs dimension at most {largest} (its H' table takes 8 n^3 bytes), "
+            f"got n = {n}"
+        )
     runs = []
     for run in _runs(config):
         traj = simulate.gd_run(run.problem, run.u0, run.alpha, config.eps, k_max=config.k_max)

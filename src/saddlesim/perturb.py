@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import ZERO_RESOLUTION, Spectrum
 
 if TYPE_CHECKING:
     from .problems import SaddleProblem
@@ -79,7 +79,7 @@ def rs_corrections(
     With degenerate=True the sum skips every l in the same near-degenerate
     group as i, which is the grouped variant that stays finite when
     within-group gaps vanish.  With degenerate=False a within-group gap below
-    1e-8 * big_l raises DegeneracyUnhandled instead of dividing by it.
+    ZERO_RESOLUTION * big_l raises DegeneracyUnhandled instead of dividing by it.
     """
     h = np.asarray(h_matrix, dtype=float)
     lam = spectrum.eigenvalues
@@ -90,7 +90,7 @@ def rs_corrections(
 
     cross = spectrum.cross_group
     if not degenerate:
-        near = ~cross & (np.abs(lam[:, None] - lam[None, :]) < 1e-8 * spectrum.big_l)
+        near = ~cross & (np.abs(lam[:, None] - lam[None, :]) < ZERO_RESOLUTION * spectrum.big_l)
         pairs = np.argwhere(np.triu(near, k=1))
         if pairs.size:
             i, l = pairs[0]
@@ -126,14 +126,12 @@ def eps_validity_bounds(
     n: int,
     delta: float,
     alpha: float,
-    eps_guess: float = 0.0,
 ) -> float:
     """Largest radius at which the first-order spectral trajectory model is valid.
 
-    Two regimes, split by how close alpha sits to the top step 1/big_l.  The
-    boundary margin is 10 * eps_guess * big_m / (2 big_l); with the default
-    eps_guess=0 only alpha = 1/big_l itself selects the near-top formula.
-    Returns +inf for big_m = 0 (the model is exact on quadratics).
+    Two regimes, split at the top step: alpha >= 1/big_l selects the near-top
+    formula, and every smaller alpha the other.  Returns +inf for big_m = 0
+    (the model is exact on quadratics).
 
     Raises InvalidAlpha outside (0, 1/big_l].
     """
@@ -141,7 +139,6 @@ def eps_validity_bounds(
         raise InvalidAlpha(f"alpha must lie in (0, 1/L], got {alpha} with L={big_l}")
     if big_m == 0:
         return float("inf")
-    margin = 10.0 * eps_guess * big_m / (2.0 * big_l)
-    if alpha >= 1.0 / big_l - margin:
+    if alpha >= 1.0 / big_l:
         return 2.0 * big_l * delta / (big_m * (2.0 * big_l * n**2 - delta))
     return 2.0 * delta * (1.0 - alpha * big_l) / (alpha * big_m * (2.0 * big_l * n**2 + delta))

@@ -303,7 +303,7 @@ def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -
     h0 = hessian(np.zeros(n))
     lam0 = np.linalg.eigvalsh(h0)
     scale = np.max(np.abs(lam0))
-    if lam0.min() >= 0 or lam0.max() <= 0 or np.min(np.abs(lam0)) <= 1e-8 * scale:
+    if lam0.min() >= 0 or lam0.max() <= 0 or np.min(np.abs(lam0)) <= spectral.ZERO_RESOLUTION * scale:
         raise NotStrictSaddleAtZero(
             f"origin Hessian of {label} is not a nondegenerate strict saddle"
         )

@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .spectral import RADIUS_RTOL
+
 if TYPE_CHECKING:
     from .problems import SaddleProblem
 
@@ -53,7 +55,7 @@ class RadialTrajectory:
 
     def __post_init__(self):
         r0 = float(self.norms[0])
-        if abs(r0 - self.eps) > 1e-5 * self.eps:
+        if abs(r0 - self.eps) > RADIUS_RTOL * self.eps:
             raise ValueError(
                 f"trajectory must start on the eps-sphere: ||u_0|| = {r0:.12g}, eps = {self.eps:.12g}"
             )

@@ -13,6 +13,11 @@ from functools import cached_property
 
 import numpy as np
 
+# An offset lies on the eps-sphere when | ||u0|| - eps | <= RADIUS_RTOL * eps.
+RADIUS_RTOL = 1e-5
+# An eigenvalue with |lambda| <= ZERO_RESOLUTION * max|lambda| counts as zero.
+ZERO_RESOLUTION = 1e-8
+
 
 class NotSymmetric(ValueError):
     """Input matrix is not symmetric within tolerance."""
@@ -101,15 +106,16 @@ class Projections:
     """Nonnegative initial amplitudes of an offset on the eigenbasis.
 
     theta_s and theta_us hold |<u0, v_i>| / eps for stable and unstable
-    directions respectively, in spectrum order.  signed_basis carries the
-    sign-flipped eigenvectors so that u0 = eps * signed_basis @ theta_full
-    with every theta nonnegative.
+    directions respectively, in spectrum order.  signs is the (n,) vector of
+    +-1 with signs[i] * |<u0, v_i>| = <u0, v_i>, also in spectrum order, so
+    u0 = eps * eigenvectors @ (signs * theta_full) with every theta
+    nonnegative.
     """
 
     theta_s: np.ndarray
     theta_us: np.ndarray
     eps: float
-    signed_basis: np.ndarray
+    signs: np.ndarray
 
 
 def _consecutive_groups(eigenvalues: np.ndarray, group_gap: float) -> list[list[int]]:
@@ -126,7 +132,7 @@ def _default_group_gap(eigenvalues: np.ndarray) -> float:
     gaps = eigenvalues[:-1] - eigenvalues[1:]
     # Floored at decompose's zero resolution: when at least half the gaps are
     # zero the median is zero, and repeats must still merge rather than give delta = 0.
-    floor = 1e-8 * float(np.max(np.abs(eigenvalues)))
+    floor = ZERO_RESOLUTION * float(np.max(np.abs(eigenvalues)))
     return max(float(np.median(gaps)) / 10.0, floor)
 
 
@@ -136,8 +142,8 @@ def group_eigenvalues(spectrum: Spectrum, group_gap: float | None = None) -> Spe
     Adjacent eigenvalues whose gap is strictly below ``group_gap`` land in the
     same group.  The reported delta is the smallest gap between eigenvalues of
     distinct groups.  Default ``group_gap`` is a tenth of the median
-    consecutive gap, but at least 1e-8 * max|lambda|, so numerically equal
-    eigenvalues always share a group.
+    consecutive gap, but at least ZERO_RESOLUTION * max|lambda|, so
+    numerically equal eigenvalues always share a group.
 
     Raises SingleGroup when everything merges into one cluster.
     """
@@ -166,14 +172,14 @@ def group_eigenvalues(spectrum: Spectrum, group_gap: float | None = None) -> Spe
     )
 
 
-def decompose(hessian: np.ndarray, zero_tol: float | None = None) -> Spectrum:
+def decompose(hessian: np.ndarray) -> Spectrum:
     """Decompose a saddle Hessian into a :class:`Spectrum`.
 
     Parameters
     ----------
-    hessian : (n, n) symmetric array, n >= 2.
-    zero_tol : eigenvalues with |lambda| <= zero_tol are treated as zero and
-        rejected.  Default 1e-8 * max|lambda|.
+    hessian : (n, n) symmetric array, n >= 2.  An eigenvalue with
+        |lambda| <= ZERO_RESOLUTION * max|lambda| counts as zero and is
+        rejected.
 
     Raises
     ------
@@ -200,11 +206,10 @@ def decompose(hessian: np.ndarray, zero_tol: float | None = None) -> Spectrum:
             vec[:, i] = -vec[:, i]
 
     big_l = float(np.max(np.abs(lam)))
-    if zero_tol is None:
-        zero_tol = 1e-8 * big_l
-    if np.any(np.abs(lam) <= zero_tol):
+    zero = ZERO_RESOLUTION * big_l
+    if np.any(np.abs(lam) <= zero):
         raise NotMorse(
-            f"eigenvalue with |lambda| <= {zero_tol:.3e}; saddle is not Morse"
+            f"eigenvalue with |lambda| <= {zero:.3e}; saddle is not Morse"
         )
     if not np.any(lam < 0):
         raise NoNegativeEigenvalue("no negative eigenvalue; not a strict saddle")
@@ -226,43 +231,39 @@ def decompose(hessian: np.ndarray, zero_tol: float | None = None) -> Spectrum:
     return group_eigenvalues(base)
 
 
-def check_radius(u0: np.ndarray, eps: float, rtol: float = 1e-5) -> None:
-    """Raise WrongRadius unless | ||u0|| - eps | <= rtol * eps.
+def check_radius(u0: np.ndarray, eps: float) -> None:
+    """Raise WrongRadius unless | ||u0|| - eps | <= RADIUS_RTOL * eps.
 
     The comparison is written so that a non-finite u0 fails it.
     """
     radius = float(np.linalg.norm(u0))
-    if not abs(radius - eps) <= rtol * eps:
+    if not abs(radius - eps) <= RADIUS_RTOL * eps:
         raise WrongRadius(
-            f"||u0|| = {radius:.12g} but eps = {eps:.12g} (relative rtol {rtol:g})"
+            f"||u0|| = {radius:.12g} but eps = {eps:.12g} (relative rtol {RADIUS_RTOL:g})"
         )
 
 
-def project(
-    u0: np.ndarray, spectrum: Spectrum, eps: float, rtol: float = 1e-5
-) -> Projections:
+def project(u0: np.ndarray, spectrum: Spectrum, eps: float) -> Projections:
     """Split an initial offset on the eps-sphere into nonnegative amplitudes.
 
-    theta_i = |<u0, v_i>| / eps, with the basis column flipped whenever the
-    raw inner product is negative, so u0 reconstructs exactly from nonnegative
-    amplitudes on the signed basis.
+    theta_i = |<u0, v_i>| / eps, and signs[i] is -1 where that inner product
+    is negative and +1 elsewhere, so u0 = eps * V @ (signs * theta) with
+    nonnegative amplitudes.
 
-    Raises WrongRadius unless | ||u0|| - eps | <= rtol * eps, so a non-finite
-    u0 is rejected too.
+    Raises WrongRadius unless | ||u0|| - eps | <= RADIUS_RTOL * eps, so a
+    non-finite u0 is rejected too.
     """
     u0 = np.asarray(u0, dtype=float)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    check_radius(u0, eps, rtol)
+    check_radius(u0, eps)
     raw = spectrum.eigenvectors.T @ u0 / eps
-    signs = np.where(raw < 0, -1.0, 1.0)
-    signed_basis = spectrum.eigenvectors * signs
     theta = np.abs(raw)
     return Projections(
         theta_s=theta[spectrum.stable_idx],
         theta_us=theta[spectrum.unstable_idx],
         eps=float(eps),
-        signed_basis=signed_basis,
+        signs=np.where(raw < 0, -1.0, 1.0),
     )
 
 

@@ -360,8 +360,7 @@ class TestStreamedCoefficients:
 def step_by_step_trajectory(projections, spectrum, coeffs, big_k):
     """The per-step reference: the (n, n) recurrence at every step, one set at a time."""
     n = spectrum.dim
-    dots = np.einsum("ji,ji->i", projections.signed_basis, spectrum.eigenvectors)
-    a0 = np.where(dots < 0, -1.0, 1.0) * theta_full(projections, spectrum)
+    a0 = projections.signs * theta_full(projections, spectrum)
     v = spectrum.eigenvectors
     path = np.empty((big_k + 1, n))
     path[0] = projections.eps * (v @ a0)

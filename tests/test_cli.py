@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 
@@ -638,6 +639,44 @@ class TestMain:
             seen.append(run.run_id)
         assert seen == [f"s{s}-{e}" for s in doc["seeds"] for e in ("a", "b")]
         assert len(built) == 2 * len(doc["seeds"]) - 2
+
+    def test_a_start_adds_no_n_by_n_array(self):
+        """Sixty-four starts per seed peak less than four (n, n) float64 arrays
+        above one start: a start holds length-n vectors only."""
+        n = 128
+
+        def peak(inits):
+            doc = dict(BASE_DOC, problem={"kind": "phase_retrieval", "n": n}, eps=1e-6, seeds=[0, 1],
+                       inits=[{"label": f"i{j}", "theta_us_sq": (j + 1) / (inits + 1)} for j in range(inits)])
+            config = parse_config(doc)
+            tracemalloc.start()
+            try:
+                list(cli._runs(config))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations are not a start's
+        assert peak(64) - peak(1) < 4 * 8 * n * n
+
+    @pytest.mark.parametrize(
+        "problem", [{"kind": "phase_retrieval", "n": 513}, {"kind": "quadratic", "lambdas": [1.0] * 512 + [-1.0]}]
+    )
+    def test_approx_past_its_derivative_table_cap_exits_2(self, tmp_path, capsys, monkeypatch, problem):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a problem was built")
+
+        monkeypatch.setattr(problems, "phase_retrieval", refuse)
+        monkeypatch.setattr(problems, "quadratic_saddle", refuse)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(BASE_DOC, problem=problem))
+        assert main(["approx", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: approx needs dimension at most 512 (its H' table takes 8 n^3 bytes), got n = 513\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["simulate", "--format", "csv"], ["approx"]])
     def test_a_record_past_its_memory_budget_exits_2(self, tmp_path, capsys, monkeypatch, argv):

@@ -210,14 +210,6 @@ class TestValidityRadius:
         got = eps_validity_bounds(1.0, 1.0, 2, 0.5, alpha=0.5)
         assert got == pytest.approx(0.11764705882352941, rel=1e-12)
 
-    def test_eps_guess_widens_the_top_regime(self):
-        # with the default margin the step 0.96/L is interior; a positive
-        # eps_guess moves the split below it
-        interior = eps_validity_bounds(1.0, 1.0, 2, 0.5, alpha=0.96)
-        top = eps_validity_bounds(1.0, 1.0, 2, 0.5, alpha=0.96, eps_guess=0.01)
-        assert interior == pytest.approx(2.0 * 0.5 * 0.04 / (0.96 * 8.5), rel=1e-12)
-        assert top == pytest.approx(0.13333333333333333, rel=1e-12)
-
     def test_quadratics_are_always_valid(self):
         assert eps_validity_bounds(1.0, 0.0, 5, 2.0, alpha=0.3) == np.inf
 

@@ -71,13 +71,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.array([[-1.0]]))
 
-    def test_zero_tol_override(self):
-        # with a coarse tolerance the 0.01 eigenvalue counts as zero
-        with pytest.raises(NotMorse):
-            decompose(np.diag([1.0, 0.01, -1.0]), zero_tol=0.05)
-        spec = decompose(np.diag([1.0, 0.01, -1.0]))
-        assert spec.dim == 3
-
 
 class TestGrouping:
     def test_near_degenerate_pair_merges(self):
@@ -167,8 +160,9 @@ class TestProject:
         u0 = self.eps * np.array([-0.6, 0.8])
         proj = project(u0, self.spec, self.eps)
         assert np.all(proj.theta_s >= 0) and np.all(proj.theta_us >= 0)
+        assert proj.signs.shape == (2,) and set(proj.signs) <= {-1.0, 1.0}
         theta = theta_full(proj, self.spec)
-        assert_allclose(self.eps * (proj.signed_basis @ theta), u0, atol=1e-14)
+        assert_allclose(self.eps * self.spec.eigenvectors @ (proj.signs * theta), u0, atol=1e-14)
 
     def test_wrong_radius(self):
         with pytest.raises(WrongRadius):
@@ -179,18 +173,6 @@ class TestProject:
         with pytest.raises(WrongRadius):
             project(np.array([bad, 0.0]), self.spec, self.eps)
 
-    def test_rtol_override(self):
-        u0 = np.array([0.101, 0.0])
-        with pytest.raises(WrongRadius):
-            project(u0, self.spec, self.eps)
-        proj = project(u0, self.spec, self.eps, rtol=0.02)
-        assert proj.theta_s[0] == pytest.approx(1.01)
-
-    def test_signed_basis_columns_unit(self):
-        u0 = self.eps * np.array([0.6, -0.8])
-        proj = project(u0, self.spec, self.eps)
-        assert_allclose(np.linalg.norm(proj.signed_basis, axis=0), 1.0, atol=1e-12)
-
     def test_random_points_round_trip(self):
         spec = decompose(random_symmetric(7, 5) + np.diag([3.0] * 4 + [-3.0] * 3))
         rng = np.random.default_rng(11)
@@ -199,7 +181,7 @@ class TestProject:
             u0 = 0.05 * d / np.linalg.norm(d)
             proj = project(u0, spec, 0.05)
             theta = theta_full(proj, spec)
-            assert_allclose(0.05 * (proj.signed_basis @ theta), u0, atol=1e-12)
+            assert_allclose(0.05 * spec.eigenvectors @ (proj.signs * theta), u0, atol=1e-12)
             assert np.sum(theta**2) == pytest.approx(1.0, rel=1e-10)
 
 

@@ -47,7 +47,6 @@ from .problems import (
     estimate_constants,
     phase_retrieval,
     quadratic_saddle,
-    sample_big_m,
     validate_assumptions,
 )
 from .simulate import (
@@ -108,7 +107,6 @@ __all__ = [
     "quadratic_saddle",
     "reference_coefficients",
     "rs_corrections",
-    "sample_big_m",
     "sample_family",
     "theta_full",
     "validate_assumptions",

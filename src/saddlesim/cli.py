@@ -64,7 +64,6 @@ class ExperimentConfig:
     k_max: int | None
     rho: float
     n_samples: int
-    estimate_samples: int
     out_prefix: str
 
 
@@ -128,11 +127,16 @@ def _parse_problem(prob) -> dict:
     return parsed
 
 
+# M is taken in closed form, so the point-pair count a config used to give
+# has nothing to set; a config that still carries it is run, with a warning
+RETIRED_FIELD = "estimate_samples"
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config dict.  Raises ConfigError with a field name."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)} - {RETIRED_FIELD})
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     missing = [f for f in ("problem", "eps", "alpha_mode", "inits", "seeds") if f not in doc]
@@ -183,18 +187,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if k_max < 1:
             raise ConfigError("k_max must be at least 1")
     n_samples = _number(doc.get("n_samples", 200), "n_samples", int)
-    estimate_samples = _number(doc.get("estimate_samples", 10_000), "estimate_samples", int)
-    for name, value, cap in (
-        ("n_samples", n_samples, approx.MAX_FAMILY_SAMPLES),
-        ("estimate_samples", estimate_samples, problems.MAX_ESTIMATE_SAMPLES),
-    ):
-        if value < 1:
-            raise ConfigError(f"{name} must be at least 1")
-        if value > cap:
-            raise ConfigError(f"{name} must be at most {cap}, got {value}")
+    if n_samples < 1:
+        raise ConfigError("n_samples must be at least 1")
+    if n_samples > approx.MAX_FAMILY_SAMPLES:
+        raise ConfigError(f"n_samples must be at most {approx.MAX_FAMILY_SAMPLES}, got {n_samples}")
     out_prefix = doc.get("out_prefix", "experiment")
     if not isinstance(out_prefix, str):
         raise ConfigError(f"out_prefix must be a string, got {out_prefix!r}")
+    if RETIRED_FIELD in doc:
+        print(f"warning: {RETIRED_FIELD} is ignored: M is taken in closed form", file=sys.stderr)
     return ExperimentConfig(
         problem=prob,
         eps=eps,
@@ -204,7 +205,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         k_max=k_max,
         rho=rho,
         n_samples=n_samples,
-        estimate_samples=estimate_samples,
         out_prefix=out_prefix,
     )
 
@@ -268,12 +268,10 @@ class Run:
 
 
 def _estimate_constants(
-    config: ExperimentConfig, problem: problems.SaddleProblem, seed: int
+    config: ExperimentConfig, problem: problems.SaddleProblem
 ) -> problems.ProblemConstants:
     """Estimate a seed's constants; an eps above eps_max warns, it is not fatal."""
-    constants = problems.estimate_constants(
-        problem, config.eps, samples=config.estimate_samples, seed=seed
-    )
+    constants = problems.estimate_constants(problem, config.eps)
     if config.eps > constants.eps_max:
         print(
             f"warning: eps = {config.eps:g} exceeds the validity radius "
@@ -292,7 +290,7 @@ def _seed_runs(config: ExperimentConfig, seed: int) -> list[Run]:
     """
     problem = problems.KINDS[config.problem["kind"]].build(config.problem, seed)
     spectrum = problem.spectrum
-    constants = functools.cache(functools.partial(_estimate_constants, config, problem, seed))
+    constants = functools.cache(functools.partial(_estimate_constants, config, problem))
     runs = []
     for entry in config.inits:
         _check_u0(entry, problem.dim, config.eps)
@@ -507,9 +505,7 @@ def _cmd_validate(config: ExperimentConfig, args) -> int:
     problem = (kind.report or kind.build)(config.problem, seed)
     for entry in config.inits:
         _check_u0(entry, problem.dim, config.eps)
-    report = problems.validate_assumptions(
-        problem, config.eps, seed=seed, estimate_samples=config.estimate_samples
-    )
+    report = problems.validate_assumptions(problem, config.eps, seed=seed)
     _write_or_print(report, args, f"{config.out_prefix}_validate.json")
     return 0
 

@@ -1,14 +1,12 @@
 """Strict-saddle test problems and constant estimation.
 
-A problem bundles callables (value, gradient, hessian) with its saddle point.
+A problem bundles callables (value, gradient, hessian) with its saddle point
+and its Hessian Lipschitz constant M, exact or certified, in closed form.
 Three families are provided: pure quadratics, a two-dimensional quadratic with
 the minimal cubic coupling, and the symmetrized phase retrieval objective whose
 origin is a strict saddle.  KINDS maps each config problem kind to its factory.
-Each factory also gives its problem's Hessian Lipschitz constant M in closed
-form, so estimate_constants samples point pairs only for a hand-built problem;
-sample_big_m, the sampler, stays as validate's cross-check.  Every random draw
-comes from np.random.default_rng of a plain key: (seed, j) for sensing row j,
-(seed, 0, i) for point pair i and (seed, 1, i) for validate's point i.
+Sensing row j of phase retrieval is drawn from np.random.default_rng((seed, j))
+and validate's growth point i from SeedSequence(seed, spawn_key=(1, i)).
 """
 
 from __future__ import annotations
@@ -35,13 +33,6 @@ class NotStrictSaddleAtZero(ValueError):
 
 # unit roundoff of float64: one rounding moves a value by at most this share
 _U = np.finfo(float).eps / 2
-# point pairs drawn and screened together by sample_big_m; larger blocks are
-# no faster and raise peak memory
-_SCREEN_BLOCK = 64
-# sample_big_m holds 9 bytes per pair (its ratio bound and a NaN mask) and
-# spends about 25 us building each pair's generator and drawing from it at
-# dim <= 60.  At this cap that is 236 MB and over 11 minutes.
-MAX_ESTIMATE_SAMPLES = 26_188_824
 # A problem's build and its saddle decomposition hold about eight (n, n)
 # float64 arrays (8.3 to 9.3 by peak RSS at n = 2,048, under bounds and
 # validate).  A config may ask for 1 GiB of them: n <= 4,096.
@@ -55,20 +46,10 @@ class SaddleProblem:
 
     value/gradient/hessian take a point of shape (dim,); hessian returns a
     symmetric (dim, dim) array.  saddle is the critical point every radial
-    quantity is measured from.
-
-    hessian_gap_sq, when given, takes stacked points X and Y of shape
-    (P, dim) and returns, for each p, an upper bound on
-    ||hessian(X[p]) - hessian(Y[p])||_F^2 as those floating-point
-    evaluations and their difference produce it: the closed form plus an
-    allowance for the rounding of both.  sample_big_m screens its point
-    pairs with it; None sends every pair to the scalar evaluation.
-
-    big_m, when given, maps eps to a pair (M, source): a Hessian Lipschitz
-    constant M on the eps-ball around saddle, in the Frobenius norm, and how
-    it was obtained, "exact" (the supremum itself) or "certified" (an upper
-    bound, rounding included).  estimate_constants takes it; None makes
-    estimate_constants sample point pairs instead.
+    quantity is measured from.  big_m maps eps to a pair (M, source): a
+    Hessian Lipschitz constant M on the eps-ball around saddle, in the
+    Frobenius norm, and how it was obtained, "exact" (the supremum itself)
+    or "certified" (an upper bound, rounding included).
     """
 
     dim: int
@@ -77,8 +58,7 @@ class SaddleProblem:
     hessian: Callable[[np.ndarray], np.ndarray]
     saddle: np.ndarray
     label: str
-    hessian_gap_sq: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    big_m: Callable[[float], tuple[float, str]] | None = None
+    big_m: Callable[[float], tuple[float, str]]
 
     @cached_property
     def spectrum(self) -> spectral.Spectrum:
@@ -98,9 +78,8 @@ class ProblemConstants:
     beta: smallest |eigenvalue|.
     delta: smallest inter-group eigenvalue gap.
     big_m: Hessian Lipschitz constant on the eps-ball, in the Frobenius norm.
-    big_m_source: how big_m was obtained: "exact", "certified" (an upper
-        bound) or "sampled:N" (the largest ratio over N point pairs, an
-        estimate that can fall below the supremum).
+    big_m_source: how big_m was obtained: "exact" or "certified" (an upper
+        bound).
     eps_max: largest radius at which the first-order eigenvalue model is valid.
     """
 
@@ -116,9 +95,8 @@ class ProblemConstants:
             raise ValueError(f"need 0 < beta <= big_l, got beta={self.beta}, big_l={self.big_l}")
         if self.big_m < 0:
             raise ValueError("big_m must be nonnegative")
-        source = self.big_m_source
-        if source not in ("exact", "certified") and not source.startswith("sampled:"):
-            raise ValueError(f"big_m_source must be exact, certified or sampled:N, got {source!r}")
+        if self.big_m_source not in ("exact", "certified"):
+            raise ValueError(f"big_m_source must be exact or certified, got {self.big_m_source!r}")
         if not self.eps_max > 0:
             raise ValueError("eps_max must be positive")
 
@@ -149,8 +127,6 @@ def _quadratic(lambdas) -> SaddleProblem:
         hessian=lambda x: h.copy(),
         saddle=np.zeros(lam.size),
         label=f"quadratic_saddle({lam.tolist()})",
-        # every evaluation returns the same matrix, so each difference is exactly zero
-        hessian_gap_sq=lambda x, y: np.zeros(len(x)),
         big_m=lambda eps: (0.0, "exact"),
     )
 
@@ -174,14 +150,6 @@ def cubic_test() -> SaddleProblem:
         x = np.asarray(x, dtype=float)
         return np.array([[1.0 + 2.0 * x[1], 2.0 * x[0]], [2.0 * x[0], -1.0]])
 
-    def hessian_gap_sq(x, y):
-        # The difference is [[2 d1, 2 d0], [2 d0, 0]], so its closed form is
-        # 8 d0^2 + 4 d1^2.  Only 1 + 2 x1 rounds in hessian (by up to
-        # u (1 + 2|x1|)); the other entries are exact or off by a relative u.
-        d0 = x[:, 0] - y[:, 0]
-        d1 = np.abs(x[:, 1] - y[:, 1]) + _U * (2.0 + 4.0 * (np.abs(x[:, 1]) + np.abs(y[:, 1])))
-        return (8.0 * d0**2 + 4.0 * d1**2) * (1.0 + 16.0 * _U)
-
     return SaddleProblem(
         dim=2,
         value=value,
@@ -189,7 +157,6 @@ def cubic_test() -> SaddleProblem:
         hessian=hessian,
         saddle=np.zeros(2),
         label="cubic_test",
-        hessian_gap_sq=hessian_gap_sq,
         # H(x) - H(y) = [[2 d1, 2 d0], [2 d0, 0]] with d = x - y, whose norm
         # is at most 2 sqrt(2) ||d||, with equality along d1 = 0
         big_m=lambda eps: (2.0 * math.sqrt(2.0), "exact"),
@@ -239,27 +206,10 @@ def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -
         s = a @ np.asarray(x, dtype=float)
         return (a.T * (3.0 * s**2 - y)) @ a / m
 
-    # H(x) - H(z) = (3/m) sum_j w_j a_j a_j^T with w = (Ax)^2 - (Az)^2, whose
-    # squared Frobenius norm is (9/m^2) w^T (G o G) w, G = A A^T
     gram = a @ a.T
     gram_sq = gram * gram
     row_sq = np.einsum("ij,ij->i", a, a)  # ||a_j||^2
-    sum_r, sum_r2 = float(row_sq.sum()), float(row_sq @ row_sq)
-
-    def hessian_gap_sq(x, z):
-        w = (x @ a.T) ** 2 - (z @ a.T) ** 2
-        closed = 9.0 / m**2 * np.einsum("pj,pj->p", w @ gram_sq, w)
-        xx = np.einsum("pi,pi->p", x, x) + np.einsum("pi,pi->p", z, z)
-        # First-order worst-case rounding, with |a_j . x| <= ||a_j|| ||x||:
-        # of the quadratic form (G, G o G and the products) in closed,
-        form_err = 9.0 / m**2 * (2 * n + 2 * m + 8) * _U * (np.abs(w) @ row_sq) ** 2
-        # of w (the products A x and their squares), through the triangle
-        # inequality over the rank-one terms,
-        w_err = 3.0 / m * (2 * n + 4) * _U * xx * sum_r2
-        # and of hessian at both points: 3 s^2 - y rounds by about u, and the
-        # m-term product sums the +-1 targets with a relative (m + 3) u.
-        eval_err = _U / m * (2 * (m + 4) * sum_r + (6 * n + 3 * m + 20) * xx * sum_r2)
-        return ((np.sqrt(closed + form_err) + w_err + eval_err) * (1.0 + 8.0 * _U)) ** 2
+    sum_r2 = float(row_sq @ row_sq)
 
     # H(x) - H(z) = (3/m) sum_j (a_j . d)(a_j . s) a_j a_j^T with d = x - z and
     # s = x + z.  The rows a_j (x) a_j have Gram matrix G o G, so
@@ -310,8 +260,7 @@ def phase_retrieval(n: int, seed: int = 0, a_matrix: np.ndarray | None = None) -
 
     return SaddleProblem(
         dim=n, value=value, gradient=gradient, hessian=hessian,
-        saddle=np.zeros(n), label=label, hessian_gap_sq=hessian_gap_sq,
-        big_m=big_m,
+        saddle=np.zeros(n), label=label, big_m=big_m,
     )
 
 
@@ -341,112 +290,17 @@ KINDS = {
 }
 
 
-def _ball_point(rng: np.random.Generator, dim: int, eps: float) -> np.ndarray:
-    d = rng.standard_normal(dim)
-    d /= np.linalg.norm(d)
-    r = eps * rng.uniform() ** (1.0 / dim)
-    return r * d
-
-
-def _pair_points(problem: SaddleProblem, eps: float, seed: int, start: int, stop: int) -> np.ndarray:
-    """Pairs start..stop-1 as a (2, stop - start, dim) stack of x and y.
-
-    Pair i draws x and then y from its own default_rng((seed, 0, i)).
-    """
-    points = np.empty((2, stop - start, problem.dim))
-    for row, i in enumerate(range(start, stop)):
-        rng = np.random.default_rng((seed, 0, i))
-        points[0, row] = _ball_point(rng, problem.dim, eps)
-        points[1, row] = _ball_point(rng, problem.dim, eps)
-    return problem.saddle + points
-
-
-def _screened_ratios(problem: SaddleProblem, eps: float, samples: int, seed: int) -> np.ndarray:
-    """An upper bound on the ratio sample_big_m computes for each pair.
-
-    +inf for every pair when the problem has no hessian_gap_sq, and for any
-    pair whose bound is not a number.
-    """
-    bounds = np.full(samples, np.inf)
-    if problem.hessian_gap_sq is None:
-        return bounds
-    dim = problem.dim
-    # The scalar ratio also rounds outside the Hessians: its Frobenius norm
-    # sums dim^2 squares, its gap (like the one here) sums dim, and a root
-    # and a division follow.
-    slack = 1.0 + (dim * dim + 4 * dim + 16) * _U
-    for start in range(0, samples, _SCREEN_BLOCK):
-        stop = min(start + _SCREEN_BLOCK, samples)
-        x, y = _pair_points(problem, eps, seed, start, stop)
-        gap = np.sqrt(np.einsum("pi,pi->p", x - y, x - y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bounds[start:stop] = np.sqrt(problem.hessian_gap_sq(x, y)) / gap * slack
-    bounds[np.isnan(bounds)] = np.inf
-    return bounds
-
-
-def sample_big_m(
-    problem: SaddleProblem, eps: float, samples: int = 10_000, seed: int = 0
-) -> float:
-    """The largest ||H(x) - H(y)||_F / ||x - y|| over `samples` random point
-    pairs in the eps-ball around the saddle.
-
-    The Frobenius norm bounds the operator norm from above, but a sampled
-    maximum can fall below the supremum over the ball, so this is an
-    estimate of M, not a bound.  estimate_constants uses it only for a
-    problem without a closed-form big_m; validate_assumptions runs it as a
-    cross-check of the closed form.
-
-    Each pair i is drawn from an independent generator keyed by
-    (seed, 0, i), so the estimate does not depend on evaluation order,
-    and the screen and the recheck draw the same points (_pair_points).
-
-    The pairs are first screened in blocks: problem.hessian_gap_sq bounds
-    each pair's ratio from above, rounding included, without evaluating a
-    Hessian.  Pairs are then rechecked in descending order of that bound,
-    each redrawn from its generator and its ratio computed with two
-    `hessian` calls, until the next bound is no larger than the best ratio
-    found.  No pair left unchecked can exceed it, so the result is the
-    maximum over all pairs, bit for bit.  Equal bounds are rechecked in
-    index order, so a problem without a screen has every pair rechecked, in
-    the order of a plain loop.
-    """
-    bounds = _screened_ratios(problem, eps, samples, seed)
-    big_m = 0.0
-    # argmax rather than a full sort: few pairs are rechecked, and a sort's
-    # arrays would raise the command's peak memory
-    while samples > 0:
-        i = int(np.argmax(bounds))
-        if not bounds[i] > big_m:
-            break
-        bounds[i] = -np.inf
-        x, y = _pair_points(problem, eps, seed, i, i + 1)[:, 0]
-        gap = np.linalg.norm(x - y)
-        if gap < 1e-12 * eps:
-            continue
-        ratio = np.linalg.norm(problem.hessian(x) - problem.hessian(y)) / gap
-        if ratio > big_m:
-            big_m = float(ratio)
-    return big_m
-
-
-def estimate_constants(
-    problem: SaddleProblem, eps: float, samples: int = 10_000, seed: int = 0
-) -> ProblemConstants:
+def estimate_constants(problem: SaddleProblem, eps: float) -> ProblemConstants:
     """The escape constants of a problem inside the eps-ball.
 
     big_l, beta and delta come from the exact Hessian at the saddle.  The
     Hessian Lipschitz constant is the problem's closed-form big_m(eps),
-    exact or certified.  A problem without one (built by hand) gets
-    sample_big_m over `samples` pairs from `seed`, labelled "sampled:N".
-    eps_max is the validity radius of the first-order eigenvalue model at
-    the step size 1/big_l, the most restrictive admissible choice.
+    exact or certified.  eps_max is the validity radius of the first-order
+    eigenvalue model at the step size 1/big_l, the most restrictive
+    admissible choice.
     """
     spectrum = problem.spectrum
-    if problem.big_m is not None:
-        big_m, source = problem.big_m(eps)
-    else:
-        big_m, source = sample_big_m(problem, eps, samples, seed), f"sampled:{samples}"
+    big_m, source = problem.big_m(eps)
     eps_max = eps_validity_bounds(
         spectrum.big_l, big_m, problem.dim, spectrum.delta, alpha=1.0 / spectrum.big_l
     )
@@ -461,11 +315,7 @@ def estimate_constants(
 
 
 def validate_assumptions(
-    problem: SaddleProblem,
-    eps: float,
-    samples: int = 1000,
-    seed: int = 0,
-    estimate_samples: int = 10_000,
+    problem: SaddleProblem, eps: float, samples: int = 1000, seed: int = 0
 ) -> dict:
     """Check the standing assumptions on a problem and report, never raise.
 
@@ -473,12 +323,9 @@ def validate_assumptions(
     points, Morse/strict-saddle structure, the balanced-spectrum condition
     beta >= delta/2, and the gradient growth bound
     ||grad f(x)|| <= big_l * ||x - x*|| * (1 + 10 * M * eps / big_l)
-    over `samples` points of the eps-ball (each from generator (seed, 1, i)).
-    The constants come from estimate_constants.  As a cross-check of their
-    big_m, sample_big_m takes `estimate_samples` pairs from `seed`:
-    sampled_big_m is that maximum, and big_m_ge_sampled says whether big_m
-    is at least as large (for a problem without a closed form, big_m is that
-    same sample and nothing is drawn twice).
+    over `samples` points of the eps-ball, point i drawn from
+    SeedSequence(seed, spawn_key=(1, i)).  The constants come from
+    estimate_constants.
     A saddle that is not a symmetric strict Morse saddle (one whose Hessian
     has no positive or no negative eigenvalue is not strict) gets a report
     with the same keys: the constants and every check built on them are null, and
@@ -513,8 +360,6 @@ def validate_assumptions(
     if not report["is_strict_saddle"]:
         for key in (
             "constants",
-            "sampled_big_m",
-            "big_m_ge_sampled",
             "beta_ge_half_delta",
             "hessian_symmetric_at_samples",
             "max_gradient_growth",
@@ -524,21 +369,17 @@ def validate_assumptions(
             report[key] = None
         return report
 
-    constants = estimate_constants(problem, eps, samples=estimate_samples, seed=seed)
+    constants = estimate_constants(problem, eps)
     report["constants"] = asdict(constants)
-    sampled = (
-        constants.big_m if problem.big_m is None
-        else sample_big_m(problem, eps, samples=estimate_samples, seed=seed)
-    )
-    report["sampled_big_m"] = sampled
-    report["big_m_ge_sampled"] = bool(sampled <= constants.big_m)
     report["beta_ge_half_delta"] = bool(constants.beta >= constants.delta / 2.0)
 
     allowed = 1.0 + 10.0 * constants.big_m * eps / constants.big_l
     worst = 0.0
     sym_ok = True
     for i in range(samples):
-        rng = np.random.default_rng((seed, 1, i))
+        # a spawn key is mixed in after SeedSequence pads a plain key, so
+        # these streams differ from every sensing row's (seed, j)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, i)))
         d = rng.standard_normal(problem.dim)
         d /= np.linalg.norm(d)
         r = eps * rng.uniform(1e-6, 1.0)

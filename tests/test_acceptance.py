@@ -289,7 +289,7 @@ def test_c07_exit_step_bound_on_qualifying_runs():
     for seed in range(10):
         prob = phase_retrieval(20, seed=seed)
         spec = ss.decompose(prob.hessian(prob.saddle))
-        constants = estimate_constants(prob, eps, samples=500, seed=seed)
+        constants = estimate_constants(prob, eps)
         alpha = 1.0 / constants.big_l
         for theta_us_sq in (0.5, 0.99):
             u0 = sphere_point(spec, eps, theta_us_sq)
@@ -343,7 +343,7 @@ def test_c09_crude_bound_on_aligned_runs():
     prob = ss.cubic_test()
     spec = ss.decompose(prob.hessian(prob.saddle))
     eps = 0.01
-    constants = estimate_constants(prob, eps, samples=2000)
+    constants = estimate_constants(prob, eps)
     alpha = 1.0 / constants.big_l
     rho = 0.5
     v_last = spec.eigenvectors[:, -1]
@@ -429,7 +429,6 @@ def test_c12_deterministic_outputs(tmp_path):
             {"label": "tilted", "theta_us_sq": 0.9},
         ],
         "seeds": [0, 1],
-        "estimate_samples": 200,
         "out_prefix": "det",
     }
     blobs = []

@@ -602,7 +602,7 @@ class TestSampleFamily:
         prob = phase_retrieval(60, seed=0)
         spec = prob.spectrum
         eps = 1e-6
-        const = estimate_constants(prob, eps, samples=50, seed=0)
+        const = estimate_constants(prob, eps)
         alpha = 1.0 / spec.big_l
         proj = project(sphere_point(spec, eps, theta_us_sq=0.5), spec, eps)
         iv = coefficient_intervals(

@@ -34,6 +34,9 @@ BASE_DOC = {
 }
 
 
+RETIRED_WARNING = "warning: estimate_samples is ignored: M is taken in closed form\n"
+
+
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -67,7 +70,7 @@ class TestParseConfig:
             {"eps": float("nan")},
             {"eps": float("inf")},
             {"n_samples": 0},
-            {"estimate_samples": 0},
+            {"inits": [{"label": "x"}]},
             {
                 "inits": [
                     {"label": "x", "theta_us_sq": 0.1},
@@ -90,9 +93,9 @@ class TestParseConfig:
             {"inits": [{"label": None, "theta_us_sq": 0.1}]},
             {"inits": [{"label": ["x"], "theta_us_sq": 0.1}]},
             {"n_samples": 10**14},
-            {"estimate_samples": 10**14},
+            {"inits": [{"label": "x", "theta_us_sq": 0.1, "u0": [0.1, 0.0]}]},
             {"n_samples": approx.MAX_FAMILY_SAMPLES + 1},
-            {"estimate_samples": problems.MAX_ESTIMATE_SAMPLES + 1},
+            {"rho": 0.0},
             # a problem field the kind does not take
             {"problem": {"kind": "cubic", "n": 60}},
             {"problem": {"kind": "phase_retrieval", "n": 8, "m": 8}},
@@ -114,13 +117,13 @@ class TestParseConfig:
             ({"alpha_mode": None}, "alpha_mode"),
             ({"seeds": "x"}, "seeds"),
             ({"rho": "x"}, "rho"),
-            ({"estimate_samples": [1]}, "estimate_samples"),
+            ({"n_samples": [1]}, "n_samples"),
             ({"k_max": float("nan")}, "k_max"),
             ({"inits": [{"label": "x", "theta_us_sq": None}]}, "theta_us_sq"),
             ({"inits": [{"label": "x", "u0": [0.1, "y"]}]}, "u0"),
             ({"problem": {"kind": "phase_retrieval", "n": {}}}, "problem.n"),
             ({"problem": {"kind": "quadratic", "lambdas": "x"}}, "problem.lambdas"),
-            ({"estimate_samples": 10**14}, "estimate_samples"),
+            ({"inits": [{"label": "x", "theta_us_sq": 1.5}]}, "theta_us_sq"),
             ({"n_samples": 10**14}, "n_samples"),
             ({"problem": {"kind": "phase_retrieval", "n": 10**7}}, "problem.n"),
             ({"problem": {"kind": "quadratic", "lambdas": [1.0, -1.0] * 25_000}}, "problem.lambdas"),
@@ -133,11 +136,13 @@ class TestParseConfig:
             parse_config(doc)
 
     def test_the_sample_caps_are_accepted(self):
-        doc = dict(BASE_DOC, n_samples=approx.MAX_FAMILY_SAMPLES,
-                   estimate_samples=problems.MAX_ESTIMATE_SAMPLES)
-        config = parse_config(doc)
-        assert config.estimate_samples < 2**32  # pair keys (seed, 0, i) end in one 32-bit word
+        config = parse_config(dict(BASE_DOC, n_samples=approx.MAX_FAMILY_SAMPLES))
         assert config.n_samples == approx.MAX_FAMILY_SAMPLES
+
+    @pytest.mark.parametrize("value", [300, 0, "x", None])
+    def test_the_retired_estimate_samples_is_ignored(self, capsys, value):
+        assert parse_config(dict(BASE_DOC, estimate_samples=value)) == parse_config(BASE_DOC)
+        assert capsys.readouterr().err == RETIRED_WARNING
 
     @pytest.mark.parametrize(
         "problem",
@@ -346,8 +351,7 @@ class TestMain:
     def test_validate_reports_a_quadratic_that_is_not_a_strict_saddle(
         self, tmp_path, capsys, lambdas
     ):
-        full_doc = dict(BASE_DOC, estimate_samples=50)
-        assert main(["validate", "--config", write_config(tmp_path, full_doc)]) == 0
+        assert main(["validate", "--config", write_config(tmp_path, BASE_DOC)]) == 0
         full = json.loads(capsys.readouterr().out)
         doc = dict(BASE_DOC, problem={"kind": "quadratic", "lambdas": lambdas})
         cfg = write_config(tmp_path, doc)
@@ -406,7 +410,7 @@ class TestMain:
         assert run["passes_delta"] is True
 
     def test_validate_and_bounds_report_the_same_constants(self, tmp_path, capsys):
-        doc = dict(BASE_DOC, problem={"kind": "cubic"}, eps=0.05, estimate_samples=50)
+        doc = dict(BASE_DOC, problem={"kind": "cubic"}, eps=0.05)
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
@@ -443,14 +447,30 @@ class TestMain:
         assert main(["validate", "--config", cfg]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["constants"]["big_m_source"] in ("exact", "certified")
-        assert 0 < report["sampled_big_m"] <= report["constants"]["big_m"]
-        assert report["big_m_ge_sampled"] is True
+        assert report["constants"]["big_m"] > 0
+        assert "sampled_big_m" not in report and "big_m_ge_sampled" not in report
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--format", "csv"], ["approx"], ["family"], ["bounds"], ["validate"]]
+    )
+    def test_a_config_with_estimate_samples_runs_with_one_warning(self, tmp_path, capsys, argv):
+        doc = dict(BASE_DOC, problem={"kind": "phase_retrieval", "n": 8}, eps=1e-3, k_max=50,
+                   n_samples=5)
+
+        def run(doc, out):
+            assert main([*argv, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().err
+
+        plain, plain_err = run(doc, tmp_path / "plain")
+        retired, retired_err = run(dict(doc, estimate_samples=300), tmp_path / "retired")
+        assert retired == plain
+        assert plain_err == ""
+        assert retired_err == RETIRED_WARNING
 
     def test_seed_override(self, tmp_path, capsys):
         doc = dict(BASE_DOC)
         doc["problem"] = {"kind": "phase_retrieval", "n": 6}
         doc["eps"] = 0.01
-        doc["estimate_samples"] = 50
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "s"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
@@ -460,7 +480,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "patch, command, field",
         [
-            ({"estimate_samples": 10**14}, "bounds", "estimate_samples"),
+            ({"n_samples": 10**14}, "bounds", "n_samples"),
             ({"n_samples": 10**14}, "family", "n_samples"),
             # within the fixed cap, but an n = 60 family step would not fit
             ({"n_samples": approx.MAX_FAMILY_SAMPLES,
@@ -517,7 +537,6 @@ class TestMain:
         doc["inits"] = [{"label": f"t{t}", "theta_us_sq": t} for t in (0.01, 0.2, 0.5)]
         doc["seeds"] = [0, 1]
         doc["n_samples"] = 20
-        doc["estimate_samples"] = 50
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"estimate_constants": estimates, "decompose": 2}
@@ -535,7 +554,6 @@ class TestMain:
         doc["seeds"] = [0, 1]
         doc["k_max"] = 50
         doc["n_samples"] = 5
-        doc["estimate_samples"] = 50
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = capsys.readouterr().err.splitlines()
@@ -576,7 +594,7 @@ class TestMain:
         """A wrapper bound to problems.<factory> is called once per seed, and the
         problem it returns, with counting callables put in by dataclasses.replace,
         is the one the run uses: the artifacts match an unwrapped run byte for byte."""
-        doc = dict(BASE_DOC, problem=problem, seeds=[0, 1], k_max=50, estimate_samples=50,
+        doc = dict(BASE_DOC, problem=problem, seeds=[0, 1], k_max=50,
                    inits=[{"label": "a", "theta_us_sq": 0.5}, {"label": "b", "theta_us_sq": 0.2}])
         cfg = write_config(tmp_path, doc)
 
@@ -818,7 +836,6 @@ def configs_with_one_bad_field(draw):
         "k_max": draw(st.integers(1, 200)),
         "rho": draw(st.floats(0.01, 0.99)),
         "n_samples": draw(st.integers(1, 5)),
-        "estimate_samples": draw(st.integers(1, 20)),
         "out_prefix": "prop",
     }
     paths = [(k,) for k in doc] + [("problem", k) for k in problem]

@@ -72,6 +72,9 @@ class TestDirectionalDerivative:
             ),
             saddle=np.zeros(2),
             label="quartic",
+            # the Hessian's entries have gradients of norm at most 24 eps^2,
+            # 12 eps^2 and 12 eps^2 on the eps-ball: sqrt(864) eps^2 < 30 eps^2
+            big_m=lambda eps: (30.0 * eps**2, "certified"),
         )
         d = np.array([1.0, 1.0]) / np.sqrt(2.0)
         # H deviates from H(0) only at second order in the offset, so the true

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +13,10 @@ from saddlesim.problems import (
     NotStrictSaddleAtZero,
     ProblemConstants,
     SaddleProblem,
-    _ball_point,
-    _pair_points,
     cubic_test,
     estimate_constants,
     phase_retrieval,
     quadratic_saddle,
-    sample_big_m,
     validate_assumptions,
 )
 from saddlesim.spectral import decompose
@@ -62,7 +58,7 @@ class TestQuadratic:
 
     def test_constants_have_no_curvature_drift(self):
         prob = quadratic_saddle([1.0, -1.0])
-        constants = estimate_constants(prob, 0.1, samples=100)
+        constants = estimate_constants(prob, 0.1)
         assert constants.big_l == pytest.approx(1.0)
         assert constants.beta == pytest.approx(1.0)
         assert constants.delta == pytest.approx(2.0)
@@ -87,12 +83,12 @@ class TestCubic:
         # the Hessian is linear in x, so the Frobenius-norm Lipschitz constant
         # is exactly sup_d ||H'(d)||_F = 2 sqrt(2)
         prob = cubic_test()
-        sampled = sample_big_m(prob, 0.1, samples=2000)
+        sampled = reference_big_m(prob, 0.1, samples=2000)
         assert 2.6 <= sampled <= 2.0 * np.sqrt(2.0)
-        assert sample_big_m(prob, 0.1, samples=2000) == sampled
+        assert reference_big_m(prob, 0.1, samples=2000) == sampled
 
     def test_eps_max_positive_and_finite(self):
-        constants = estimate_constants(cubic_test(), 0.1, samples=500)
+        constants = estimate_constants(cubic_test(), 0.1)
         assert 0.0 < constants.eps_max < np.inf
 
 
@@ -151,7 +147,7 @@ class TestConstantsValidation:
                 big_l=1.0, beta=1.0, delta=1.0, big_m=0.0, big_m_source="exact", eps_max=0.0
             )
 
-    @pytest.mark.parametrize("source", ["estimated", "sampled", ""])
+    @pytest.mark.parametrize("source", ["estimated", "sampled", "", "sampled:10"])
     def test_big_m_source_must_be_named(self, source):
         with pytest.raises(ValueError, match="big_m_source"):
             ProblemConstants(
@@ -204,7 +200,7 @@ def test_spectrum_is_decomposed_once(monkeypatch):
     prob = cubic_test()
     spec = prob.spectrum
     assert prob.spectrum is spec
-    estimate_constants(prob, 0.05, samples=10)
+    estimate_constants(prob, 0.05)
     validate_assumptions(prob, 0.05, samples=10)
     assert len(calls) == 1
     assert_allclose(calls[0], prob.hessian(prob.saddle))
@@ -229,16 +225,37 @@ class TestValidateAssumptions:
     @pytest.mark.parametrize("seed", WORD_SEEDS)
     def test_growth_points_are_default_rng_points(self, seed):
         problem, eps = phase_retrieval(8, seed=1), 0.05
-        report = validate_assumptions(problem, eps, samples=50, seed=seed, estimate_samples=10)
+        report = validate_assumptions(problem, eps, samples=50, seed=seed)
         big_l = report["constants"]["big_l"]
         worst = 0.0
         for i in range(50):
-            rng = np.random.default_rng((seed, 1, i))
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, i)))
             d = rng.standard_normal(8)
             d /= np.linalg.norm(d)
             r = eps * rng.uniform(1e-6, 1.0)
             worst = max(worst, float(np.linalg.norm(problem.gradient(r * d)) / (big_l * r)))
         assert report["max_gradient_growth"] == worst
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    def test_growth_points_share_no_sensing_row_stream(self, monkeypatch, seed):
+        def state(rng):
+            pcg = rng.bit_generator.state["state"]
+            return pcg["state"], pcg["inc"]
+
+        problem = phase_retrieval(8, seed=seed)
+        rows = {state(np.random.default_rng((seed, j))) for j in range(8)}
+        drawn = []
+        default_rng = np.random.default_rng
+
+        def recording(*args, **kwargs):
+            rng = default_rng(*args, **kwargs)
+            drawn.append(state(rng))
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        validate_assumptions(problem, 0.05, samples=50, seed=seed)
+        assert not rows & set(drawn)
+        assert len(set(drawn)) == 50
 
     def test_degenerate_problem_reported_not_raised(self):
         h = np.diag([1.0, 0.0, -1.0])
@@ -249,6 +266,7 @@ class TestValidateAssumptions:
             hessian=lambda x: h.copy(),
             saddle=np.zeros(3),
             label="degenerate",
+            big_m=lambda eps: (0.0, "exact"),
         )
         report = validate_assumptions(prob, 0.1, samples=10)
         assert report["is_morse"] is False
@@ -272,11 +290,17 @@ class TestValidateAssumptions:
             hessian=lambda x: h.copy(),
             saddle=np.zeros(h.shape[0]),
             label="flawed",
+            big_m=lambda eps: (0.0, "exact"),
         )
         report = validate_assumptions(prob, 0.1, samples=10)
-        full = validate_assumptions(cubic_test(), 0.05, samples=10, estimate_samples=50)
+        full = validate_assumptions(cubic_test(), 0.05, samples=10)
         assert set(report) == set(full)
         assert report["gradient_growth_ok"] is None
+
+    def test_a_problem_needs_its_big_m(self):
+        with pytest.raises(TypeError, match="big_m"):
+            SaddleProblem(dim=2, value=float, gradient=np.asarray, hessian=np.diag,
+                          saddle=np.zeros(2), label="no M")
 
     def test_asymmetric_hessian_reported_not_raised(self):
         h = np.array([[1.0, 1e-6], [0.0, -1.0]])
@@ -287,6 +311,7 @@ class TestValidateAssumptions:
             hessian=lambda x: h.copy(),
             saddle=np.zeros(2),
             label="asymmetric",
+            big_m=lambda eps: (0.0, "exact"),
         )
         report = validate_assumptions(prob, 0.1, samples=10)
         assert report["hessian_symmetric"] is False
@@ -297,13 +322,21 @@ class TestValidateAssumptions:
         assert report["gradient_growth_ok"] is None
 
 
+def ball_point(rng, dim, eps):
+    """A uniform point of the eps-ball around the origin."""
+    d = rng.standard_normal(dim)
+    d /= np.linalg.norm(d)
+    return eps * rng.uniform() ** (1.0 / dim) * d
+
+
 def reference_big_m(problem, eps, samples, seed=0):
-    """Reference: the largest Hessian ratio over every point pair, one by one."""
+    """The largest Hessian ratio over `samples` random point pairs of the
+    eps-ball: an estimate that can only fall below the supremum M."""
     big_m = 0.0
     for i in range(samples):
         rng = np.random.default_rng((seed, 0, i))
-        x = problem.saddle + _ball_point(rng, problem.dim, eps)
-        y = problem.saddle + _ball_point(rng, problem.dim, eps)
+        x = problem.saddle + ball_point(rng, problem.dim, eps)
+        y = problem.saddle + ball_point(rng, problem.dim, eps)
         gap = np.linalg.norm(x - y)
         if gap < 1e-12 * eps:
             continue
@@ -328,16 +361,8 @@ def counting_hessian(problem):
     return counted_problem, calls
 
 
-def unscreened(problem):
-    """The same problem built by hand, without a screen."""
-    return SaddleProblem(
-        dim=problem.dim, value=problem.value, gradient=problem.gradient,
-        hessian=problem.hessian, saddle=problem.saddle, label="hand-built",
-    )
-
-
 @st.composite
-def screened_problems(draw):
+def factory_problems(draw):
     kind = draw(st.sampled_from(["quadratic", "cubic", "phase_retrieval", "injected"]))
     if kind == "cubic":
         return cubic_test()
@@ -356,107 +381,6 @@ def screened_problems(draw):
         return phase_retrieval(n, a_matrix=np.round(rows, 1))
     except NotStrictSaddleAtZero:
         assume(False)
-
-
-class TestScreenedEstimate:
-    @given(
-        problem=screened_problems(),
-        log_eps=st.floats(-8.0, 0.0),
-        samples=st.integers(1, 700),
-        seed=st.one_of(st.integers(0, 20), st.just(2**32)),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_matches_the_reference_bit_for_bit(self, problem, log_eps, samples, seed):
-        eps = 10.0**log_eps
-        estimate = sample_big_m(problem, eps, samples=samples, seed=seed)
-        assert estimate == reference_big_m(problem, eps, samples, seed)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 2**32])
-    @pytest.mark.parametrize("n, eps", [(20, 0.05), (60, 1e-6)])
-    def test_matches_the_reference_at_the_default_pairs(self, n, eps, seed):
-        problem = phase_retrieval(n, seed=seed)
-        estimate = sample_big_m(problem, eps, seed=seed)
-        assert estimate == reference_big_m(problem, eps, 10_000, seed)
-
-    @pytest.mark.parametrize("dim, eps, start", [(2, 1e-4, 0), (7, 0.3, 250), (60, 1e-6, 511)])
-    def test_block_points_are_the_ball_points(self, dim, eps, start):
-        problem = quadratic_saddle([1.0] * (dim - 1) + [-1.0])
-        x, y = _pair_points(problem, eps, 3, start, start + 9)
-        for row, i in enumerate(range(start, start + 9)):
-            rng = np.random.default_rng((3, 0, i))
-            assert np.array_equal(x[row], _ball_point(rng, dim, eps))
-            assert np.array_equal(y[row], _ball_point(rng, dim, eps))
-
-    @pytest.mark.parametrize(
-        "problem, eps",
-        [
-            (quadratic_saddle([2.0, -1.0, -1.0]), 0.1),
-            (cubic_test(), 0.05),
-            (cubic_test(), 1e-8),
-            (phase_retrieval(20, seed=0), 0.05),
-            (phase_retrieval(60, seed=1), 1e-6),
-            (phase_retrieval(9, seed=2), 1e-8),
-        ],
-        ids=["quadratic", "cubic", "cubic-tiny-eps", "pr-n20", "pr-n60", "pr-tiny-eps"],
-    )
-    def test_screen_bounds_what_hessian_computes(self, problem, eps):
-        x, y = _pair_points(problem, eps, 0, 0, 300)
-        computed = np.array([
-            np.linalg.norm(problem.hessian(a) - problem.hessian(b)) ** 2
-            for a, b in zip(x, y)
-        ])
-        screen = problem.hessian_gap_sq(x, y)
-        assert np.all(screen >= computed)
-        if eps >= 0.05:  # the rounding allowance is negligible here
-            assert_allclose(screen, computed, rtol=1e-9)
-
-    def test_an_overstated_pair_is_rechecked_not_trusted(self):
-        base = phase_retrieval(8, seed=1)
-        screen = base.hessian_gap_sq
-
-        def overstated(x, y):
-            out = screen(x, y)
-            if not overstated.done:  # pair 0, the first row of the first block
-                out[0] *= 100.0
-                overstated.done = True
-            return out
-
-        overstated.done = False
-        problem, calls = counting_hessian(dataclasses.replace(base, hessian_gap_sq=overstated))
-        expected = reference_big_m(base, 0.1, 500, seed=4)
-        assert reference_big_m(base, 0.1, 1, seed=4) < expected  # pair 0 is not the max
-        assert sample_big_m(problem, 0.1, samples=500, seed=4) == expected
-        assert len(calls) == 4  # pair 0 first, then the true maximum
-
-    def test_a_problem_without_a_screen_checks_every_pair(self):
-        problem, calls = counting_hessian(unscreened(phase_retrieval(8, seed=1)))
-        expected = reference_big_m(problem, 0.1, 500, seed=4)
-        calls.clear()
-        assert sample_big_m(problem, 0.1, samples=500, seed=4) == expected
-        assert len(calls) == 1000
-
-    def test_phase_retrieval_rechecks_a_handful_of_pairs(self):
-        problem, calls = counting_hessian(phase_retrieval(20, seed=0))
-        sample_big_m(problem, 0.05, samples=10_000, seed=0)
-        assert 2 <= len(calls) <= 10
-
-    def test_a_quadratic_evaluates_no_hessian(self):
-        problem, calls = counting_hessian(quadratic_saddle([1.0, 1.0, -2.0]))
-        assert sample_big_m(problem, 0.1, samples=10_000) == 0.0
-        assert calls == []
-
-    def test_memory_stays_within_a_few_blocks(self):
-        # screening all 10,000 pairs at once would hold about 30 MB of points
-        # and products at n=60
-        problem = phase_retrieval(60, seed=0)
-        problem.spectrum
-        tracemalloc.start()
-        try:
-            sample_big_m(problem, 1e-6, samples=10_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
 
 
 class TestClosedFormBigM:
@@ -490,29 +414,16 @@ class TestClosedFormBigM:
         assert big_m == pytest.approx(6 * 0.05 / 20 * gram_sq.sum(axis=1).max(), rel=1e-9)
         assert big_m > 6 * 0.05 / 20 * np.linalg.eigvalsh(gram_sq)[-1]
 
-    def test_a_hand_built_problem_is_sampled_and_labelled(self):
-        problem = unscreened(cubic_test())
-        constants = estimate_constants(problem, 0.1, samples=300, seed=2)
-        assert constants.big_m_source == "sampled:300"
-        assert constants.big_m == sample_big_m(problem, 0.1, samples=300, seed=2)
-
     def test_estimate_constants_evaluates_no_hessian_off_the_saddle(self):
         for problem in (cubic_test(), phase_retrieval(12, seed=1)):
             counted, calls = counting_hessian(problem)
             estimate_constants(counted, 1e-3)
             assert calls == []
 
-    @given(problem=screened_problems(), log_eps=st.floats(-6.0, np.log10(0.2)),
+    @given(problem=factory_problems(), log_eps=st.floats(-6.0, np.log10(0.2)),
            seed=st.integers(0, 50))
     @settings(max_examples=150, deadline=None)
     def test_never_below_a_sampled_ratio(self, problem, log_eps, seed):
         eps = 10.0**log_eps
-        sampled = sample_big_m(problem, eps, samples=200, seed=seed)
+        sampled = reference_big_m(problem, eps, samples=200, seed=seed)
         assert sampled <= estimate_constants(problem, eps).big_m
-
-    def test_validate_cross_checks_the_closed_form(self):
-        for problem, eps in ((cubic_test(), 1e-4), (phase_retrieval(12, seed=1), 1e-6)):
-            report = validate_assumptions(problem, eps, samples=10, estimate_samples=500)
-            assert report["sampled_big_m"] == sample_big_m(problem, eps, samples=500)
-            assert 0 < report["sampled_big_m"] <= report["constants"]["big_m"]
-            assert report["big_m_ge_sampled"] is True
